@@ -265,8 +265,8 @@ func BenchmarkRuleRelationRoundtrip(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinStrategy is the join-strategy ablation: hash join versus
-// nested loop on the induction join sizes of study B1.
+// BenchmarkJoinStrategy measures the hash join on the induction join
+// sizes of study B1.
 func BenchmarkJoinStrategy(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		l := relation.New("L", relation.MustSchema(
@@ -289,15 +289,6 @@ func BenchmarkJoinStrategy(b *testing.B) {
 				}
 			}
 		})
-		if n <= 1000 { // nested loop is quadratic; cap the slow side
-			b.Run(fmt.Sprintf("nestedloop/n=%d", n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := l.JoinNestedLoop(r, on); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -360,14 +351,12 @@ func BenchmarkAggregateQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryStreaming measures the streaming operator pipeline
-// against the retained materializing executor on a wide multi-join
-// query: two hash joins over 20k-row relations whose intermediate is
-// large, a residual cross-variable filter, and a selective projection.
-// The point of the streaming pipeline shows up in B/op and allocs/op —
-// intermediate rows live one batch at a time instead of one relation
-// per operator — while ns/op keeps the two executors honest against
-// each other.
+// BenchmarkQueryStreaming is the streaming operator pipeline's
+// allocation gate, on a wide multi-join query: two hash joins over
+// 20k-row relations whose intermediate is large, a residual
+// cross-variable filter, and a selective projection. Intermediate rows
+// live one batch at a time, so B/op and allocs/op stay near the size of
+// the inputs' hash tables; bench-check fails if they grow by a quarter.
 func BenchmarkQueryStreaming(b *testing.B) {
 	const n = 20000
 	cat := storage.NewCatalog()
@@ -392,10 +381,8 @@ func BenchmarkQueryStreaming(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	want, err := prep.RunMaterialized()
-	if err != nil {
-		b.Fatal(err)
-	}
+	// K = i, G = i mod 97, V = i mod 89: the rows with i mod 97 = i mod 89.
+	const want = 267
 	b.Run("streaming", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -403,20 +390,8 @@ func BenchmarkQueryStreaming(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if got.Len() != want.Len() {
-				b.Fatalf("streaming returned %d rows, want %d", got.Len(), want.Len())
-			}
-		}
-	})
-	b.Run("materialized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			got, err := prep.RunMaterialized()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got.Len() != want.Len() {
-				b.Fatalf("materialized returned %d rows, want %d", got.Len(), want.Len())
+			if got.Len() != want {
+				b.Fatalf("streaming returned %d rows, want %d", got.Len(), want)
 			}
 		}
 	})

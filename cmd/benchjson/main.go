@@ -13,11 +13,13 @@
 //
 // With -compare BASELINE.json the run is additionally checked against a
 // committed snapshot: a benchmark whose allocs/op or B/op grew by more
-// than -threshold percent fails the run (exit 1). Those two metrics are
-// deterministic, so they compare meaningfully across machines; ns/op
-// regressions past the threshold only warn, because wall-clock differs
-// between the machine that produced the baseline and the one checking
-// it. Benchmarks present on one side only are reported but not fatal.
+// than -threshold percent fails the run (exit 1), and so does a
+// benchmark the baseline has that this run lacks — a gate that stopped
+// running must be removed from the baseline on purpose, not dropped in
+// silence. Those two metrics are deterministic, so they compare
+// meaningfully across machines; ns/op is recorded but never compared
+// (the baselines are single iterations on another machine). A benchmark
+// new in this run is reported and passes.
 package main
 
 import (
@@ -53,7 +55,7 @@ type document struct {
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	compare := flag.String("compare", "", "baseline JSON to diff against; allocs/op or B/op regressions past -threshold fail the run")
+	compare := flag.String("compare", "", "baseline JSON to diff against; allocs/op or B/op regressions past -threshold, or a baseline benchmark missing from this run, fail the run")
 	threshold := flag.Float64("threshold", 25, "allowed regression in percent for -compare")
 	flag.Parse()
 
@@ -112,8 +114,9 @@ func load(path string) (*document, error) {
 	return doc, nil
 }
 
-// diff reports each regression past the threshold and returns whether
-// any fatal one (allocs/op or B/op growth) was found.
+// diff reports each allocs/op or B/op regression past the threshold and
+// each baseline benchmark missing from the run, and returns whether it
+// found any.
 func diff(base, cur *document, threshold float64, w io.Writer) bool {
 	old := make(map[string]record, len(base.Results))
 	for _, r := range base.Results {
@@ -140,10 +143,6 @@ func diff(base, cur *document, threshold float64, w io.Writer) bool {
 				r.Name, b.BytesPerOp, r.BytesPerOp, threshold)
 			fatal = true
 		}
-		if b.NsPerOp > 0 && (r.NsPerOp-b.NsPerOp)/b.NsPerOp*100 > threshold {
-			fmt.Fprintf(w, "benchjson: warn %s: ns/op %.0f -> %.0f (>%g%%, advisory across machines)\n",
-				r.Name, b.NsPerOp, r.NsPerOp, threshold)
-		}
 	}
 	missing := make([]string, 0, len(old))
 	for name := range old {
@@ -151,7 +150,8 @@ func diff(base, cur *document, threshold float64, w io.Writer) bool {
 	}
 	sort.Strings(missing)
 	for _, name := range missing {
-		fmt.Fprintf(w, "benchjson: %s: present in baseline, missing from this run\n", name)
+		fmt.Fprintf(w, "benchjson: FAIL %s: present in baseline, missing from this run\n", name)
+		fatal = true
 	}
 	return fatal
 }

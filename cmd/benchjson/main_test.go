@@ -55,10 +55,9 @@ func TestDiff(t *testing.T) {
 	base := &document{Results: []record{
 		{Name: "BenchmarkA", NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 10},
 		{Name: "BenchmarkB", NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 10},
-		{Name: "BenchmarkGone", NsPerOp: 1},
 	}}
 	cur := &document{Results: []record{
-		// Within threshold on the fatal metrics; ns/op regressed (warn only).
+		// Within threshold on the compared metrics; ns/op is not compared.
 		{Name: "BenchmarkA", NsPerOp: 500, BytesPerOp: 1100, AllocsPerOp: 12},
 		// Allocs grew past 25%: fatal.
 		{Name: "BenchmarkB", NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 20},
@@ -70,18 +69,36 @@ func TestDiff(t *testing.T) {
 	}
 	for _, want := range []string{
 		"FAIL BenchmarkB: allocs/op 10 -> 20",
-		"warn BenchmarkA: ns/op",
 		"BenchmarkNew: new benchmark",
-		"BenchmarkGone: present in baseline",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("diff output missing %q:\n%s", want, out.String())
 		}
 	}
+	if strings.Contains(out.String(), "BenchmarkA") {
+		t.Errorf("ns/op growth alone was reported:\n%s", out.String())
+	}
 
 	var quiet bytes.Buffer
 	if diff(base, &document{Results: base.Results}, 25, &quiet) {
 		t.Errorf("identical run flagged as regression:\n%s", quiet.String())
+	}
+}
+
+// TestDiffMissingIsFatal: a benchmark the baseline has and the run
+// lacks fails the comparison even when everything present is fine.
+func TestDiffMissingIsFatal(t *testing.T) {
+	base := &document{Results: []record{
+		{Name: "BenchmarkA", NsPerOp: 100, BytesPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkGone", NsPerOp: 1, BytesPerOp: 8, AllocsPerOp: 1},
+	}}
+	cur := &document{Results: base.Results[:1]}
+	var out bytes.Buffer
+	if !diff(base, cur, 25, &out) {
+		t.Fatalf("missing benchmark not fatal; output:\n%s", out.String())
+	}
+	if want := "FAIL BenchmarkGone: present in baseline, missing from this run"; !strings.Contains(out.String(), want) {
+		t.Errorf("diff output missing %q:\n%s", want, out.String())
 	}
 }
 

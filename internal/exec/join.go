@@ -12,7 +12,8 @@ import (
 // the one materialization a hash join cannot avoid — and Next streams
 // probe batches through it, emitting the concatenation left++right for
 // every key match. Output order is probe order, then build arrival
-// order within a key, matching the materializing executor exactly.
+// order within a key — deterministic, so one plan returns the same row
+// sequence on every run.
 type HashJoin struct {
 	node     plan.Node
 	schema   *relation.Schema

@@ -192,7 +192,7 @@ func TestSharedIndexCache(t *testing.T) {
 	if cache.Len() != 1 {
 		t.Errorf("cache size = %d, want 1 (shared, not rebuilt)", cache.Len())
 	}
-	if len(s2.indexes) != 0 {
-		t.Errorf("session-private indexes = %d, want 0 when cache set", len(s2.indexes))
+	if s2.cache != cache {
+		t.Error("session kept its private cache after SetIndexCache")
 	}
 }

@@ -3,7 +3,6 @@ package quel
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,22 +29,23 @@ type Counters struct {
 	IndexFallbacks atomic.Int64
 }
 
-// IndexCache shares lazily built secondary indexes between sessions.
-// Without one, each Session keeps a private cache that dies with it —
-// useless in the SQL path, which spins up a fresh session per query.
-// Entries are keyed by relation name but validated on every lookup
-// against the relation object the caller is actually scanning: the
-// index must have been built over that identical object (Index.For —
-// pointer identity, which catches a relation replaced under the same
-// name on a cache shared across snapshots) and still match its version
-// (Index.Fresh). A mis-shared cache therefore degrades to rebuilds
-// instead of serving rows from a stale twin.
+// IndexCache holds lazily built secondary indexes. Every Session starts
+// with a private one that dies with it — useless in the SQL path, which
+// spins up a fresh session per query, so that path shares one cache
+// between sessions (SetIndexCache). Entries are keyed by relation name
+// but validated on every lookup against the relation object the caller
+// is actually scanning: the index must have been built over that
+// identical object (Index.For — pointer identity, which catches a
+// relation replaced under the same name on a cache shared across
+// snapshots) and still match its version (Index.Fresh). A mis-shared
+// cache therefore degrades to rebuilds instead of serving rows from a
+// stale twin.
 type IndexCache struct {
 	mu sync.Mutex
 	m  map[string]*relation.Index // guarded by mu
 }
 
-// NewIndexCache creates an empty shared index cache.
+// NewIndexCache creates an empty index cache.
 func NewIndexCache() *IndexCache {
 	return &IndexCache{m: make(map[string]*relation.Index)}
 }
@@ -80,11 +80,10 @@ func (c *IndexCache) Len() int {
 // secondary indexes the planner builds lazily for selective conditions
 // on large relations (rebuilt automatically when the data changes).
 type Session struct {
-	cat     *storage.Catalog
-	ranges  map[string]string // lower(var) → relation name
-	indexes map[string]*relation.Index
+	cat    *storage.Catalog
+	ranges map[string]string // lower(var) → relation name
 
-	cache    *IndexCache // optional shared cache; overrides indexes
+	cache    *IndexCache // private unless SetIndexCache swapped in a shared one
 	counters *Counters   // optional shared scan counters
 	logf     func(format string, args ...any)
 }
@@ -96,14 +95,14 @@ const indexMinRows = 64
 // NewSession creates a session over the given catalog.
 func NewSession(cat *storage.Catalog) *Session {
 	return &Session{
-		cat:     cat,
-		ranges:  make(map[string]string),
-		indexes: make(map[string]*relation.Index),
+		cat:    cat,
+		ranges: make(map[string]string),
+		cache:  NewIndexCache(),
 	}
 }
 
 // SetIndexCache makes the session build and look up secondary indexes in
-// the given shared cache instead of its private one.
+// the given shared cache instead of its private one. c must not be nil.
 func (s *Session) SetIndexCache(c *IndexCache) { s.cache = c }
 
 // SetCounters wires the session's access-path decisions to shared
@@ -122,22 +121,14 @@ func (s *Session) indexFor(rel *relation.Relation, col int) (*relation.Index, st
 		return nil, ""
 	}
 	key := strings.ToLower(rel.Name()) + "\x00" + rel.Schema().Col(col).Name
-	if s.cache != nil {
-		if ix := s.cache.get(key, rel); ix != nil && ix.Fresh() {
-			return ix, ""
-		}
-	} else if ix, ok := s.indexes[key]; ok && ix.For(rel) && ix.Fresh() {
+	if ix := s.cache.get(key, rel); ix != nil && ix.Fresh() {
 		return ix, ""
 	}
 	ix, err := rel.BuildIndex(rel.Schema().Col(col).Name)
 	if err != nil {
 		return nil, err.Error()
 	}
-	if s.cache != nil {
-		s.cache.put(key, ix)
-	} else {
-		s.indexes[key] = ix
-	}
+	s.cache.put(key, ix)
 	return ix, ""
 }
 
@@ -196,10 +187,14 @@ func (s *Session) ExecStmt(st Stmt) (*Result, error) {
 	return s.ExecStmtContext(context.Background(), st)
 }
 
-// ExecStmtContext executes a parsed statement, threading the context
-// into the streaming executor for retrieves. Updates (delete, append,
-// replace) run to completion: they mutate catalog relations in place,
-// so abandoning one midway would leave a half-applied statement.
+// ExecStmtContext executes a parsed statement. Every qualification —
+// a retrieve's, a delete's, a replace's — runs through the streaming
+// executor under ctx, which honours cancellation at batch boundaries.
+// Delete and replace evaluate first and apply second: the qualification
+// is drained in full against the unmodified relation, and only then is
+// the relation written, without consulting ctx again. A statement
+// therefore either fails with nothing written or is applied whole, and
+// its qualification and assignment operands never read its own writes.
 func (s *Session) ExecStmtContext(ctx context.Context, st Stmt) (*Result, error) {
 	switch st := st.(type) {
 	case *RangeStmt:
@@ -210,11 +205,11 @@ func (s *Session) ExecStmtContext(ctx context.Context, st Stmt) (*Result, error)
 	case *RetrieveStmt:
 		return s.execRetrieve(ctx, st)
 	case *DeleteStmt:
-		return s.execDelete(st)
+		return s.execDelete(ctx, st)
 	case *AppendStmt:
 		return s.execAppend(st)
 	case *ReplaceStmt:
-		return s.execReplace(st)
+		return s.execReplace(ctx, st)
 	default:
 		return nil, fmt.Errorf("quel: unknown statement %T", st)
 	}
@@ -272,74 +267,133 @@ func (s *Session) execAppend(st *AppendStmt) (*Result, error) {
 	return &Result{Appended: 1}, nil
 }
 
-func (s *Session) execReplace(st *ReplaceStmt) (*Result, error) {
-	p := newPlanner(s)
-	slot, err := p.addVar(st.Var)
+// rangeRel resolves a range variable to its relation.
+func (s *Session) rangeRel(v string) (*relation.Relation, error) {
+	relName, ok := s.ranges[strings.ToLower(v)]
+	if !ok {
+		return nil, fmt.Errorf("quel: variable %q has no range declaration", v)
+	}
+	return s.cat.Get(relName)
+}
+
+// qualifying evaluates a delete or replace qualification as a retrieve
+// of every column of the statement's variable v (ranging over rel)
+// followed by the extra columns: one row per binding. A qualification
+// is value-based, so the caller identifies the tuples it selects by the
+// Tuple.Key of that leading image — duplicates of a selected tuple are
+// selected with it, as they would be by any evaluation. rel is only
+// read.
+func (s *Session) qualifying(ctx context.Context, v string, rel *relation.Relation, where Expr, extra []ColRef) ([]relation.Tuple, error) {
+	st := &RetrieveStmt{Where: where}
+	for _, c := range rel.Schema().Columns() {
+		st.Target = append(st.Target, Target{Col: ColRef{Var: v, Attr: c.Name}})
+	}
+	for _, c := range extra {
+		st.Target = append(st.Target, Target{Col: c})
+	}
+	res, err := s.execRetrieve(ctx, st)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.collectVars(st.Where); err != nil {
+	return res.Rel.Rows(), nil
+}
+
+func (s *Session) execDelete(ctx context.Context, st *DeleteStmt) (*Result, error) {
+	rel, err := s.rangeRel(st.Var)
+	if err != nil {
 		return nil, err
 	}
-	// Assignment operands may reference range variables too.
+	hits, err := s.qualifying(ctx, st.Var, rel, st.Where, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(hits) == 0 {
+		return &Result{}, nil
+	}
+	// Existential semantics: a target tuple dies if any binding includes it.
+	doomed := make(map[string]struct{}, len(hits))
+	for _, t := range hits {
+		doomed[t.Key()] = struct{}{}
+	}
+	n := rel.Delete(func(t relation.Tuple) bool {
+		_, dead := doomed[t.Key()]
+		return dead
+	})
+	return &Result{Deleted: n}, nil
+}
+
+func (s *Session) execReplace(ctx context.Context, st *ReplaceStmt) (*Result, error) {
+	rel, err := s.rangeRel(st.Var)
+	if err != nil {
+		return nil, err
+	}
+	sch := rel.Schema()
+	// Each assignment takes its value from a constant or, for a column
+	// operand (which may belong to another range variable), from an
+	// extra column of the qualification row.
 	type setter struct {
 		col int
-		fn  valueFn
+		src int // column of the qualification row; -1 for a constant
+		val relation.Value
 	}
-	rel := p.rels[slot]
-	var setters []setter
-	for _, a := range st.Assign {
-		ci, ok := rel.Schema().Index(a.Attr)
+	setters := make([]setter, len(st.Assign))
+	var extra []ColRef
+	for i, a := range st.Assign {
+		ci, ok := sch.Index(a.Attr)
 		if !ok {
 			return nil, fmt.Errorf("quel: replace: relation %s has no attribute %q", rel.Name(), a.Attr)
 		}
-		if col, ok := a.Val.(ColOperand); ok {
-			if _, err := p.addVar(col.Col.Var); err != nil {
+		switch o := a.Val.(type) {
+		case ColOperand:
+			setters[i] = setter{col: ci, src: sch.Len() + len(extra)}
+			extra = append(extra, o.Col)
+		case ConstOperand:
+			setters[i] = setter{col: ci, src: -1, val: o.Val}
+		default:
+			return nil, fmt.Errorf("quel: unknown operand %T", o)
+		}
+	}
+	hits, err := s.qualifying(ctx, st.Var, rel, st.Where, extra)
+	if err != nil {
+		return nil, err
+	}
+	if len(hits) == 0 {
+		return &Result{}, nil
+	}
+	// Pre-image → new values, every one coerced before any is written.
+	// When several bindings select one tuple the last binding wins.
+	next := make(map[string][]relation.Value, len(hits))
+	for _, t := range hits {
+		vals := make([]relation.Value, len(setters))
+		for i, set := range setters {
+			v := set.val
+			if set.src >= 0 {
+				v = t[set.src]
+			}
+			if vals[i], err = coerce(v, sch.Col(set.col).Type); err != nil {
+				return nil, fmt.Errorf("quel: replace %s.%s: %w", rel.Name(), sch.Col(set.col).Name, err)
+			}
+		}
+		next[t[:sch.Len()].Key()] = vals
+	}
+	replaced := 0
+	for i := 0; i < rel.Len(); i++ {
+		vals, ok := next[rel.Row(i).Key()]
+		if !ok {
+			continue
+		}
+		for k, set := range setters {
+			if err := rel.Set(i, set.col, vals[k]); err != nil {
 				return nil, err
 			}
 		}
-		fn, err := p.compileOperand(a.Val)
-		if err != nil {
-			return nil, err
-		}
-		setters = append(setters, setter{col: ci, fn: fn})
+		replaced++
 	}
-
-	var bindings []binding
-	if st.Where == nil && len(p.vars) == 1 {
-		for i := 0; i < rel.Len(); i++ {
-			b := make(binding, 1)
-			b[0] = i
-			bindings = append(bindings, b)
-		}
-	} else {
-		bindings, err = p.assemble(st.Where)
-		if err != nil {
-			return nil, err
-		}
-	}
-	touched := map[int]bool{}
-	for _, b := range bindings {
-		for _, set := range setters {
-			v, err := coerce(set.fn(b), rel.Schema().Col(set.col).Type)
-			if err != nil {
-				return nil, fmt.Errorf("quel: replace %s.%s: %w",
-					rel.Name(), rel.Schema().Col(set.col).Name, err)
-			}
-			if err := rel.Set(b[slot], set.col, v); err != nil {
-				return nil, err
-			}
-		}
-		touched[b[slot]] = true
-	}
-	return &Result{Replaced: len(touched)}, nil
+	return &Result{Replaced: replaced}, nil
 }
 
-// binding assigns one row index per plan variable; -1 marks unbound slots.
-type binding []int
-
-// planner resolves variables, compiles predicates, and assembles bindings
-// with hash joins where equality conjuncts allow.
+// planner resolves variables, classifies the qualification's conjuncts,
+// and chooses access paths and a join order.
 type planner struct {
 	sess   *Session
 	vars   []string
@@ -357,11 +411,7 @@ func (p *planner) addVar(v string) (int, error) {
 	if i, ok := p.varIdx[key]; ok {
 		return i, nil
 	}
-	relName, ok := p.sess.ranges[key]
-	if !ok {
-		return 0, fmt.Errorf("quel: variable %q has no range declaration", v)
-	}
-	r, err := p.sess.cat.Get(relName)
+	r, err := p.sess.rangeRel(v)
 	if err != nil {
 		return 0, err
 	}
@@ -420,119 +470,16 @@ func (p *planner) colSlot(c ColRef) (int, int, error) {
 	return slot, ai, nil
 }
 
-// compiled evaluates a predicate over a binding.
-type compiled func(binding) bool
-
-// compile turns an expression into an executable predicate. All slots the
-// expression touches must be bound when it runs.
-func (p *planner) compile(e Expr) (compiled, error) {
-	switch e := e.(type) {
-	case *BinExpr:
-		l, err := p.compileOperand(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := p.compileOperand(e.R)
-		if err != nil {
-			return nil, err
-		}
-		op := e.Op
-		return func(b binding) bool {
-			c, err := l(b).Compare(r(b))
-			if err != nil {
-				return false
-			}
-			switch op {
-			case "=":
-				return c == 0
-			case "!=":
-				return c != 0
-			case "<":
-				return c < 0
-			case "<=":
-				return c <= 0
-			case ">":
-				return c > 0
-			case ">=":
-				return c >= 0
-			}
-			return false
-		}, nil
-	case *AndExpr:
-		terms := make([]compiled, len(e.Terms))
-		for i, t := range e.Terms {
-			c, err := p.compile(t)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = c
-		}
-		return func(b binding) bool {
-			for _, t := range terms {
-				if !t(b) {
-					return false
-				}
-			}
-			return true
-		}, nil
-	case *OrExpr:
-		terms := make([]compiled, len(e.Terms))
-		for i, t := range e.Terms {
-			c, err := p.compile(t)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = c
-		}
-		return func(b binding) bool {
-			for _, t := range terms {
-				if t(b) {
-					return true
-				}
-			}
-			return false
-		}, nil
-	case *NotExpr:
-		c, err := p.compile(e.Term)
-		if err != nil {
-			return nil, err
-		}
-		return func(b binding) bool { return !c(b) }, nil
-	default:
-		return nil, fmt.Errorf("quel: unknown expression %T", e)
-	}
-}
-
-type valueFn func(binding) relation.Value
-
-func (p *planner) compileOperand(o Operand) (valueFn, error) {
-	switch o := o.(type) {
-	case ColOperand:
-		slot, ai, err := p.colSlot(o.Col)
-		if err != nil {
-			return nil, err
-		}
-		rel := p.rels[slot]
-		return func(b binding) relation.Value { return rel.Row(b[slot])[ai] }, nil
-	case ConstOperand:
-		v := o.Val
-		return func(binding) relation.Value { return v }, nil
-	default:
-		return nil, fmt.Errorf("quel: unknown operand %T", o)
-	}
-}
-
 // conjunct classification for planning.
 type conjunct struct {
 	expr Expr
 	// For a BinExpr between two columns or a column and a constant:
-	isEq     bool
-	lSlot    int // -1 when constant
-	lAttr    int
-	rSlot    int
-	rAttr    int
-	slotsIn  map[int]bool // all slots the conjunct touches
-	compiled compiled
+	isEq    bool
+	lSlot   int // -1 when constant
+	lAttr   int
+	rSlot   int
+	rAttr   int
+	slotsIn map[int]bool // all slots the conjunct touches
 	// Single-variable "column op constant" selections are index-usable:
 	isSel   bool
 	selSlot int
@@ -637,11 +584,6 @@ func (p *planner) analyse(e Expr) (*conjunct, error) {
 			c.isSel, c.selSlot, c.selAttr, c.selOp, c.selVal = true, slot, attr, relation.FlipOp(b.Op), lv.Val
 		}
 	}
-	comp, err := p.compile(e)
-	if err != nil {
-		return nil, err
-	}
-	c.compiled = comp
 	return c, nil
 }
 
@@ -676,8 +618,9 @@ type joinStep struct {
 }
 
 // scanPlan is the planned qualification evaluation: per-variable access
-// paths, a join order, and a residual filter. It is built once and may
-// run many times (prepared statements re-run against the same snapshot).
+// paths, a join order, and a residual filter. It is built once, lowered
+// to a streamSpec (stream.go), and that may run many times (prepared
+// statements re-run against the same snapshot).
 type scanPlan struct {
 	p        *planner
 	paths    []accessPath // one per slot, in slot order
@@ -834,152 +777,6 @@ func (p *planner) plan(where Expr) (*scanPlan, error) {
 	}
 	sp.est = selectivity(cur, len(sp.residual))
 	return sp, nil
-}
-
-// scan produces one access path's candidate rows. An index chosen at
-// plan time serves the initial candidates; if it has gone stale since
-// (or the probe turns out incomparable), the path is rebuilt once and
-// otherwise degrades — loudly — to a full scan.
-func (sp *scanPlan) scan(ap *accessPath) []int {
-	p := sp.p
-	rel := p.rels[ap.slot]
-	probe := make(binding, len(p.vars))
-	for i := range probe {
-		probe[i] = -1
-	}
-	passes := func(i int) bool {
-		probe[ap.slot] = i
-		for _, c := range ap.preds {
-			if !c.compiled(probe) {
-				return false
-			}
-		}
-		return true
-	}
-	var out []int
-	if ap.ix != nil {
-		ix := ap.ix
-		rows, err := ix.Lookup(ap.sel.selOp, ap.sel.selVal)
-		if err != nil {
-			// Stale index: rebuild and retry once before degrading.
-			if ix2, _ := p.sess.indexFor(rel, ap.sel.selAttr); ix2 != nil {
-				rows, err = ix2.Lookup(ap.sel.selOp, ap.sel.selVal)
-			}
-		}
-		if err == nil {
-			p.sess.countIndexScan()
-			sort.Ints(rows) // restore row order for stable results
-			for _, i := range rows {
-				if passes(i) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		p.sess.noteFallback(rel.Name(), rel.Schema().Col(ap.sel.selAttr).Name, err.Error())
-	}
-	p.sess.countFullScan()
-	for i := 0; i < rel.Len(); i++ {
-		if passes(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// run executes the plan: per-slot candidate scans, then the planned join
-// order, then the residual filter.
-func (sp *scanPlan) run() ([]binding, error) {
-	p := sp.p
-	n := len(p.vars)
-	if n == 0 {
-		return []binding{{}}, nil
-	}
-	cand := make([][]int, n)
-	for slot := range sp.paths {
-		cand[slot] = sp.scan(&sp.paths[slot])
-	}
-
-	// Seed with variable 0.
-	bindings := make([]binding, 0, len(cand[0]))
-	for _, i := range cand[0] {
-		b := make(binding, n)
-		for j := range b {
-			b[j] = -1
-		}
-		b[0] = i
-		bindings = append(bindings, b)
-	}
-
-	for _, step := range sp.steps {
-		next := step.next
-		if len(step.edges) == 0 {
-			var out []binding
-			for _, b := range bindings {
-				for _, i := range cand[next] {
-					nb := append(binding(nil), b...)
-					nb[next] = i
-					out = append(out, nb)
-				}
-			}
-			bindings = out
-			continue
-		}
-		// Hash next's candidate rows on its side of the edges.
-		rel := p.rels[next]
-		table := make(map[string][]int, len(cand[next]))
-		for _, i := range cand[next] {
-			var key strings.Builder
-			for _, e := range step.edges {
-				key.WriteString(rel.Row(i)[e.nextAttr].Key())
-				key.WriteByte('\x1f')
-			}
-			table[key.String()] = append(table[key.String()], i)
-		}
-		var out []binding
-		for _, b := range bindings {
-			var key strings.Builder
-			for _, e := range step.edges {
-				key.WriteString(p.rels[e.boundSlot].Row(b[e.boundSlot])[e.boundAttr].Key())
-				key.WriteByte('\x1f')
-			}
-			for _, i := range table[key.String()] {
-				nb := append(binding(nil), b...)
-				nb[next] = i
-				out = append(out, nb)
-			}
-		}
-		bindings = out
-	}
-
-	if len(sp.residual) > 0 {
-		kept := bindings[:0]
-		for _, b := range bindings {
-			ok := true
-			for _, c := range sp.residual {
-				if !c.compiled(b) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, b)
-			}
-		}
-		bindings = kept
-	}
-	return bindings, nil
-}
-
-// assemble plans and runs the qualification in one step — the
-// single-shot path delete and replace use. Retrieve goes through
-// PlanRetrieve so the plan can be described and re-run.
-func (p *planner) assemble(where Expr) ([]binding, error) {
-	sp, err := p.plan(where)
-	if err != nil {
-		return nil, err
-	}
-	return sp.run()
 }
 
 // mustCount re-derives the index range count for display; falls back to
@@ -1181,84 +978,10 @@ func (rp *RetrievePlan) RunContext(ctx context.Context) (*Result, error) {
 	return &Result{Rel: out}, nil
 }
 
-// RunMaterialized executes the prepared retrieve through the legacy
-// binding-at-a-time materializing path. It is retained as the reference
-// implementation the streaming pipeline is differentially tested and
-// benchmarked against.
-func (rp *RetrievePlan) RunMaterialized() (*Result, error) {
-	bindings, err := rp.sp.run()
-	if err != nil {
-		return nil, err
-	}
-	name := rp.st.Into
-	if name == "" {
-		name = "result"
-	}
-	out := relation.New(name, rp.schema)
-	for _, b := range bindings {
-		row := make(relation.Tuple, len(rp.infos))
-		for i, info := range rp.infos {
-			row[i] = rp.p.rels[info.slot].Row(b[info.slot])[info.attr]
-		}
-		if err := out.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	if rp.st.Unique {
-		out = out.Unique()
-	}
-	if len(rp.keys) > 0 {
-		out, err = out.Sort(rp.keys...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if rp.st.Into != "" {
-		if rp.sess.cat.Has(rp.st.Into) {
-			return nil, fmt.Errorf("quel: retrieve into %s: relation already exists", rp.st.Into)
-		}
-		rp.sess.cat.Put(out)
-	}
-	return &Result{Rel: out}, nil
-}
-
 func (s *Session) execRetrieve(ctx context.Context, st *RetrieveStmt) (*Result, error) {
 	rp, err := s.PlanRetrieve(st)
 	if err != nil {
 		return nil, err
 	}
 	return rp.RunContext(ctx)
-}
-
-func (s *Session) execDelete(st *DeleteStmt) (*Result, error) {
-	p := newPlanner(s)
-	slot, err := p.addVar(st.Var)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.collectVars(st.Where); err != nil {
-		return nil, err
-	}
-	if st.Where == nil {
-		rel := p.rels[slot]
-		n := rel.Delete(func(relation.Tuple) bool { return true })
-		return &Result{Deleted: n}, nil
-	}
-	bindings, err := p.assemble(st.Where)
-	if err != nil {
-		return nil, err
-	}
-	// Existential semantics: a target tuple dies if any binding includes it.
-	doomed := make(map[int]bool, len(bindings))
-	for _, b := range bindings {
-		doomed[b[slot]] = true
-	}
-	rel := p.rels[slot]
-	idx := 0
-	n := rel.Delete(func(relation.Tuple) bool {
-		dead := doomed[idx]
-		idx++
-		return dead
-	})
-	return &Result{Deleted: n}, nil
 }

@@ -36,8 +36,8 @@ func TestIndexedSelection(t *testing.T) {
 	if res.Rel.Len() != 1 || !res.Rel.Row(0)[0].Equal(relation.Int(250)) {
 		t.Fatalf("point lookup = %v", res.Rel.Rows())
 	}
-	if len(s.indexes) != 1 {
-		t.Fatalf("index cache size = %d, want 1", len(s.indexes))
+	if s.cache.Len() != 1 {
+		t.Fatalf("index cache size = %d, want 1", s.cache.Len())
 	}
 
 	res = mustExec(t, s, "retrieve (b.K) where b.K >= 490")
@@ -50,8 +50,8 @@ func TestIndexedSelection(t *testing.T) {
 			t.Errorf("row %d = %v", i, row)
 		}
 	}
-	if len(s.indexes) != 1 {
-		t.Errorf("index cache size = %d, want 1 (reused)", len(s.indexes))
+	if s.cache.Len() != 1 {
+		t.Errorf("index cache size = %d, want 1 (reused)", s.cache.Len())
 	}
 
 	// A second condition on the same variable filters the index result.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,58 +12,155 @@ import (
 	"intensional/internal/storage"
 )
 
-// refEval evaluates a retrieve statement by brute force: full cross
-// product of all range variables, then the compiled predicate — the
-// reference the planner's pushdowns and hash joins are checked against.
+// The reference evaluator below shares nothing with the code it checks:
+// no planner, no access paths, no indexes, no conjunct classification,
+// no compiled predicates. It stands every range variable on every row
+// of its relation — the full cross product — and interprets the
+// qualification's AST directly at each combination.
+
+// refVar is one range variable: its relation and the row it stands on.
+type refVar struct {
+	rel *relation.Relation
+	row relation.Tuple
+}
+
+// refEnv binds lower-cased range variables.
+type refEnv map[string]*refVar
+
+// forEach visits the cross product of the listed variables' relations.
+func (env refEnv) forEach(vars []string, fn func()) {
+	if len(vars) == 0 {
+		fn()
+		return
+	}
+	v := env[vars[0]]
+	for _, row := range v.rel.Rows() {
+		v.row = row
+		env.forEach(vars[1:], fn)
+	}
+}
+
+func (env refEnv) value(t *testing.T, o Operand) relation.Value {
+	t.Helper()
+	switch o := o.(type) {
+	case ConstOperand:
+		return o.Val
+	case ColOperand:
+		v := env[strings.ToLower(o.Col.Var)]
+		i, ok := v.rel.Schema().Index(o.Col.Attr)
+		if !ok {
+			t.Fatalf("reference: %s has no attribute %q", v.rel.Name(), o.Col.Attr)
+		}
+		return v.row[i]
+	}
+	t.Fatalf("reference: unknown operand %T", o)
+	return relation.Value{}
+}
+
+// holds interprets the qualification at the current binding. A
+// comparison between incomparable values is false; no qualification
+// holds everywhere.
+func (env refEnv) holds(t *testing.T, e Expr) bool {
+	t.Helper()
+	switch e := e.(type) {
+	case nil:
+		return true
+	case *BinExpr:
+		c, err := env.value(t, e.L).Compare(env.value(t, e.R))
+		if err != nil {
+			return false
+		}
+		switch e.Op {
+		case "=":
+			return c == 0
+		case "!=":
+			return c != 0
+		case "<":
+			return c < 0
+		case "<=":
+			return c <= 0
+		case ">":
+			return c > 0
+		case ">=":
+			return c >= 0
+		}
+		t.Fatalf("reference: unknown operator %q", e.Op)
+	case *AndExpr:
+		for _, term := range e.Terms {
+			if !env.holds(t, term) {
+				return false
+			}
+		}
+		return true
+	case *OrExpr:
+		for _, term := range e.Terms {
+			if env.holds(t, term) {
+				return true
+			}
+		}
+		return false
+	case *NotExpr:
+		return !env.holds(t, e.Term)
+	}
+	t.Fatalf("reference: unknown expression %T", e)
+	return false
+}
+
+// exprVars calls use for every range variable the expression mentions.
+func exprVars(e Expr, use func(string)) {
+	switch e := e.(type) {
+	case *BinExpr:
+		for _, o := range []Operand{e.L, e.R} {
+			if c, ok := o.(ColOperand); ok {
+				use(c.Col.Var)
+			}
+		}
+	case *AndExpr:
+		for _, term := range e.Terms {
+			exprVars(term, use)
+		}
+	case *OrExpr:
+		for _, term := range e.Terms {
+			exprVars(term, use)
+		}
+	case *NotExpr:
+		exprVars(e.Term, use)
+	}
+}
+
+// refEval evaluates a retrieve statement by brute force and returns its
+// rows as a sorted multiset of keys.
 func refEval(t *testing.T, cat *storage.Catalog, ranges map[string]string, st *RetrieveStmt) []string {
 	t.Helper()
-	sess := NewSession(cat)
-	p := newPlanner(sess)
-	for v, rel := range ranges {
-		sess.ranges[v] = rel
-	}
-	for _, tg := range st.Target {
-		if _, err := p.addVar(tg.Col.Var); err != nil {
-			t.Fatal(err)
+	env := refEnv{}
+	var vars []string
+	use := func(v string) {
+		v = strings.ToLower(v)
+		if env[v] != nil {
+			return
 		}
-	}
-	if err := p.collectVars(st.Where); err != nil {
-		t.Fatal(err)
-	}
-	var pred compiled
-	if st.Where != nil {
-		var err error
-		pred, err = p.compile(st.Where)
+		rel, err := cat.Get(ranges[v])
 		if err != nil {
 			t.Fatal(err)
 		}
+		env[v] = &refVar{rel: rel}
+		vars = append(vars, v)
 	}
-	n := len(p.vars)
+	for _, tg := range st.Target {
+		use(tg.Col.Var)
+	}
+	exprVars(st.Where, use)
 	var rows []string
-	b := make(binding, n)
-	var rec func(slot int)
-	rec = func(slot int) {
-		if slot == n {
-			if pred != nil && !pred(b) {
-				return
-			}
-			key := ""
-			for _, tg := range st.Target {
-				slot2, ai, err := p.colSlot(tg.Col)
-				if err != nil {
-					t.Fatal(err)
-				}
-				key += p.rels[slot2].Row(b[slot2])[ai].Key() + "|"
-			}
-			rows = append(rows, key)
+	env.forEach(vars, func() {
+		if !env.holds(t, st.Where) {
 			return
 		}
-		for i := 0; i < p.rels[slot].Len(); i++ {
-			b[slot] = i
-			rec(slot + 1)
+		key := ""
+		for _, tg := range st.Target {
+			key += env.value(t, ColOperand{Col: tg.Col}).Key() + "|"
 		}
-	}
-	rec(0)
+		rows = append(rows, key)
+	})
 	sort.Strings(rows)
 	return rows
 }
@@ -198,37 +296,25 @@ func TestDeleteMatchesBruteForceProperty(t *testing.T) {
 		// qualification (unreferenced range variables do not participate,
 		// as in QUEL).
 		ref := func() []string {
-			sess := NewSession(cat.Clone())
-			p := newPlanner(sess)
-			sess.ranges["a"], sess.ranges["b"] = "T0", "T1"
-			if _, err := p.addVar("a"); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.collectVars(where); err != nil {
-				t.Fatal(err)
-			}
-			pred, err := p.compile(where)
-			if err != nil {
-				t.Fatal(err)
-			}
-			usesB := len(p.vars) > 1
-			t0, _ := sess.cat.Get("T0")
-			t1, _ := sess.cat.Get("T1")
-			var kept []string
-			for i := 0; i < t0.Len(); i++ {
-				doomed := false
-				if usesB {
-					for j := 0; j < t1.Len(); j++ {
-						if pred(binding{i, j}) {
-							doomed = true
-							break
-						}
-					}
-				} else {
-					doomed = pred(binding{i})
+			t0, _ := cat.Get("T0")
+			t1, _ := cat.Get("T1")
+			env := refEnv{"a": {rel: t0}}
+			var others []string
+			exprVars(where, func(v string) {
+				if v == "b" && env["b"] == nil {
+					env["b"] = &refVar{rel: t1}
+					others = append(others, "b")
 				}
+			})
+			var kept []string
+			for _, row := range t0.Rows() {
+				env["a"].row = row
+				doomed := false
+				env.forEach(others, func() {
+					doomed = doomed || env.holds(t, where)
+				})
 				if !doomed {
-					kept = append(kept, t0.Row(i).Key())
+					kept = append(kept, row.Key())
 				}
 			}
 			sort.Strings(kept)

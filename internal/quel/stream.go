@@ -20,9 +20,10 @@ import (
 type rowValueFn func(relation.Tuple) relation.Value
 
 // compileRow compiles an expression into a predicate over concatenated
-// pipeline rows. offs maps each variable slot to its column offset in
-// the row; every slot the expression touches must be bound (offset
-// >= 0) by the time the predicate runs.
+// pipeline rows — the only place a qualification becomes executable.
+// offs maps each variable slot to its column offset in the row; every
+// slot the expression touches must be bound (offset >= 0) by the time
+// the predicate runs.
 func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
 	switch e := e.(type) {
 	case *BinExpr:
@@ -34,27 +35,13 @@ func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := e.Op
+		holds, err := relation.CompareOp(e.Op)
+		if err != nil {
+			return nil, err
+		}
 		return func(t relation.Tuple) bool {
 			c, err := l(t).Compare(r(t))
-			if err != nil {
-				return false
-			}
-			switch op {
-			case "=":
-				return c == 0
-			case "!=":
-				return c != 0
-			case "<":
-				return c < 0
-			case "<=":
-				return c <= 0
-			case ">":
-				return c > 0
-			case ">=":
-				return c >= 0
-			}
-			return false
+			return err == nil && holds(c)
 		}, nil
 	case *AndExpr:
 		terms := make([]exec.Pred, len(e.Terms))

@@ -254,136 +254,3 @@ func (ap *aggPlan) orderBy(out *relation.Relation) (*relation.Relation, error) {
 	}
 	return out.Sort(keys...)
 }
-
-// runMaterialized executes the prepared aggregate over the legacy
-// materializing retrieve: fetch all base rows, group, accumulate, and
-// order. Retained as the reference implementation the streaming path is
-// differentially tested against.
-func (ap *aggPlan) runMaterialized() (*relation.Relation, error) {
-	sel := ap.sel
-	var base *relation.Relation
-	if ap.rp == nil {
-		base = relation.New("base", ap.baseSchema)
-	} else {
-		res, err := ap.rp.RunMaterialized()
-		if err != nil {
-			return nil, err
-		}
-		base = res.Rel
-	}
-
-	// Group and accumulate.
-	type acc struct {
-		key      []relation.Value // group column values
-		count    []int64          // per item
-		sumI     []int64
-		sumF     []float64
-		isFloat  []bool
-		min, max []relation.Value
-		rows     int64
-	}
-	newAcc := func(key []relation.Value) *acc {
-		n := len(sel.Items)
-		return &acc{
-			key:   key,
-			count: make([]int64, n), sumI: make([]int64, n), sumF: make([]float64, n),
-			isFloat: make([]bool, n),
-			min:     make([]relation.Value, n), max: make([]relation.Value, n),
-		}
-	}
-	groups := map[string]*acc{}
-	var order []string
-	for _, row := range base.Rows() {
-		var kb strings.Builder
-		key := make([]relation.Value, len(ap.groupPos))
-		for i, gp := range ap.groupPos {
-			key[i] = row[gp]
-			kb.WriteString(row[gp].Key())
-			kb.WriteByte('\x1f')
-		}
-		k := kb.String()
-		g, ok := groups[k]
-		if !ok {
-			g = newAcc(key)
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.rows++
-		for i, it := range sel.Items {
-			if it.Agg == "" {
-				continue
-			}
-			if it.Star {
-				g.count[i]++
-				continue
-			}
-			v := row[ap.argPos[i]]
-			if v.IsNull() {
-				continue
-			}
-			g.count[i]++
-			switch v.Kind() {
-			case relation.KindInt:
-				g.sumI[i] += v.Int64()
-				g.sumF[i] += v.Float64()
-			case relation.KindFloat:
-				g.isFloat[i] = true
-				g.sumF[i] += v.Float64()
-			}
-			if g.min[i].IsNull() || v.Less(g.min[i]) {
-				g.min[i] = v
-			}
-			if g.max[i].IsNull() || g.max[i].Less(v) {
-				g.max[i] = v
-			}
-		}
-	}
-	// Aggregates with no GROUP BY produce exactly one row, even when the
-	// input is empty.
-	if len(sel.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = newAcc(nil)
-		order = append(order, "")
-	}
-
-	out := relation.New("result", ap.outSchema)
-	for _, k := range order {
-		g := groups[k]
-		row := make(relation.Tuple, len(sel.Items))
-		for i, it := range sel.Items {
-			switch {
-			case it.Agg == "":
-				// Find the group column index matching this item.
-				for gi, gp := range ap.groupPos {
-					if gp == ap.itemGroup[i] {
-						row[i] = g.key[gi]
-					}
-				}
-			case it.Agg == "COUNT":
-				row[i] = relation.Int(g.count[i])
-			case it.Agg == "SUM":
-				if g.count[i] == 0 {
-					row[i] = relation.Null()
-				} else if g.isFloat[i] {
-					row[i] = relation.Float(g.sumF[i])
-				} else {
-					row[i] = relation.Int(g.sumI[i])
-				}
-			case it.Agg == "AVG":
-				if g.count[i] == 0 {
-					row[i] = relation.Null()
-				} else {
-					row[i] = relation.Float(g.sumF[i] / float64(g.count[i]))
-				}
-			case it.Agg == "MIN":
-				row[i] = g.min[i]
-			case it.Agg == "MAX":
-				row[i] = g.max[i]
-			}
-		}
-		if err := out.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-
-	return ap.orderBy(out)
-}

@@ -252,6 +252,10 @@ func compileCompare(schema *relation.Schema, table string, cmp *sqlparse.Compare
 	rc, rIsCol := cmp.R.(sqlparse.Col)
 	ll, lIsLit := cmp.L.(sqlparse.Lit)
 	rl, rIsLit := cmp.R.(sqlparse.Lit)
+	holds, err := relation.CompareOp(cmp.Op)
+	if err != nil {
+		return nil, err
+	}
 	switch {
 	case lIsCol && rIsLit:
 		ci, err := resolveCol(lc)
@@ -274,47 +278,13 @@ func compileCompare(schema *relation.Schema, table string, cmp *sqlparse.Compare
 		if err != nil {
 			return nil, err
 		}
-		op := cmp.Op
 		return func(t relation.Tuple) bool {
 			c, err := t[li].Compare(t[ri])
-			if err != nil {
-				return false
-			}
-			switch op {
-			case "=":
-				return c == 0
-			case "!=", "<>":
-				return c != 0
-			case "<":
-				return c < 0
-			case "<=":
-				return c <= 0
-			case ">":
-				return c > 0
-			case ">=":
-				return c >= 0
-			}
-			return false
+			return err == nil && holds(c)
 		}, nil
 	case lIsLit && rIsLit:
 		c, err := ll.Val.Compare(rl.Val)
-		hold := false
-		if err == nil {
-			switch cmp.Op {
-			case "=":
-				hold = c == 0
-			case "!=", "<>":
-				hold = c != 0
-			case "<":
-				hold = c < 0
-			case "<=":
-				hold = c <= 0
-			case ">":
-				hold = c > 0
-			case ">=":
-				hold = c >= 0
-			}
-		}
+		hold := err == nil && holds(c)
 		return func(relation.Tuple) bool { return hold }, nil
 	default:
 		return nil, fmt.Errorf("query: unsupported comparison %s", cmp)

@@ -164,25 +164,6 @@ func (pr *Prepared) RunContext(ctx context.Context) (*relation.Relation, error) 
 	}
 }
 
-// RunMaterialized executes the prepared statement through the legacy
-// materializing path — every operator builds its full output before the
-// next runs. Retained as the reference implementation the streaming
-// pipeline is differentially tested and benchmarked against.
-func (pr *Prepared) RunMaterialized() (*relation.Relation, error) {
-	switch {
-	case pr.empty != nil:
-		return relation.New("result", pr.empty), nil
-	case pr.agg != nil:
-		return pr.agg.runMaterialized()
-	default:
-		res, err := pr.rp.RunMaterialized()
-		if err != nil {
-			return nil, err
-		}
-		return res.Rel, nil
-	}
-}
-
 // Describe renders the prepared statement as a typed plan with its
 // semantic rewrites.
 func (pr *Prepared) Describe() *plan.Plan {

@@ -1,5 +1,7 @@
 package relation
 
+import "fmt"
+
 // FlipOp mirrors a comparison operator when its operands swap sides:
 // "x op y" holds exactly when "y FlipOp(op) x" does. Equality and
 // inequality are symmetric and map to themselves, as does any operator
@@ -19,5 +21,30 @@ func FlipOp(op string) string {
 		return "<="
 	default:
 		return op
+	}
+}
+
+// CompareOp resolves a comparison operator — one of "=", "!=", "<>",
+// "<", "<=", ">", ">=" — to a test over the three-way result of
+// Value.Compare. Every layer that compiles "x op y" resolves the
+// operator here, once, when the predicate is built, so an operator the
+// table does not know is a compile-time error rather than a predicate
+// that is quietly false on every row.
+func CompareOp(op string) (func(c int) bool, error) {
+	switch op {
+	case "=":
+		return func(c int) bool { return c == 0 }, nil
+	case "!=", "<>":
+		return func(c int) bool { return c != 0 }, nil
+	case "<":
+		return func(c int) bool { return c < 0 }, nil
+	case "<=":
+		return func(c int) bool { return c <= 0 }, nil
+	case ">":
+		return func(c int) bool { return c > 0 }, nil
+	case ">=":
+		return func(c int) bool { return c >= 0 }, nil
+	default:
+		return nil, fmt.Errorf("relation: unknown comparison operator %q", op)
 	}
 }

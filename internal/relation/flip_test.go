@@ -59,3 +59,39 @@ func TestFlipOpSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareOp pins the operator table and that an operator outside it
+// is an error when the predicate is built, not a predicate that is
+// false on every row.
+func TestCompareOp(t *testing.T) {
+	for _, c := range []struct {
+		op         string
+		lt, eq, gt bool
+	}{
+		{"=", false, true, false},
+		{"!=", true, false, true},
+		{"<>", true, false, true},
+		{"<", true, false, false},
+		{"<=", true, true, false},
+		{">", false, false, true},
+		{">=", false, true, true},
+	} {
+		holds, err := CompareOp(c.op)
+		if err != nil {
+			t.Fatalf("CompareOp(%q): %v", c.op, err)
+		}
+		if holds(-1) != c.lt || holds(0) != c.eq || holds(1) != c.gt {
+			t.Errorf("CompareOp(%q) = %v/%v/%v on -1/0/1, want %v/%v/%v",
+				c.op, holds(-1), holds(0), holds(1), c.lt, c.eq, c.gt)
+		}
+	}
+	for _, op := range []string{"", "==", "~", "=<"} {
+		if _, err := CompareOp(op); err == nil {
+			t.Errorf("CompareOp(%q): expected an error", op)
+		}
+	}
+	s := MustSchema(Column{Name: "K", Type: TInt})
+	if _, err := Cmp(s, "K", "~", Int(1)); err == nil {
+		t.Error("Cmp with an unknown operator: expected an error")
+	}
+}

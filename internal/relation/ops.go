@@ -207,44 +207,6 @@ func (r *Relation) Join(s *Relation, on ...JoinOn) (*Relation, error) {
 	return out, nil
 }
 
-// JoinNestedLoop computes the same equi-join as Join with a nested-loop
-// strategy. It exists for the join-strategy ablation bench.
-func (r *Relation) JoinNestedLoop(s *Relation, on ...JoinOn) (*Relation, error) {
-	if len(on) == 0 {
-		return nil, fmt.Errorf("relation: join of %s and %s requires at least one condition", r.name, s.name)
-	}
-	li := make([]int, len(on))
-	ri := make([]int, len(on))
-	for k, o := range on {
-		var ok bool
-		if li[k], ok = r.schema.Index(o.Left); !ok {
-			return nil, fmt.Errorf("relation %s: join: no column %q", r.name, o.Left)
-		}
-		if ri[k], ok = s.schema.Index(o.Right); !ok {
-			return nil, fmt.Errorf("relation %s: join: no column %q", s.name, o.Right)
-		}
-	}
-	schema, err := joinSchema(r, s)
-	if err != nil {
-		return nil, err
-	}
-	out := New(r.name+"⋈"+s.name, schema)
-	for _, lt := range r.rows {
-	right:
-		for _, rt := range s.rows {
-			for k := range on {
-				if !lt[li[k]].Equal(rt[ri[k]]) {
-					continue right
-				}
-			}
-			row := make(Tuple, 0, len(lt)+len(rt))
-			row = append(append(row, lt...), rt...)
-			out.rows = append(out.rows, row)
-		}
-	}
-	return out, nil
-}
-
 func joinKey(t Tuple, idx []int) string {
 	k := ""
 	for _, i := range idx {
@@ -339,33 +301,19 @@ func Eq(s *Schema, column string, v Value) (Predicate, error) {
 }
 
 // Cmp returns a predicate comparing the named column against v with the
-// given operator: one of "=", "!=", "<", "<=", ">", ">=".
+// given operator: one of "=", "!=", "<>", "<", "<=", ">", ">=".
 func Cmp(s *Schema, column, op string, v Value) (Predicate, error) {
 	i, ok := s.Index(column)
 	if !ok {
 		return nil, fmt.Errorf("relation: no column %q", column)
 	}
+	holds, err := CompareOp(op)
+	if err != nil {
+		return nil, err
+	}
 	return func(t Tuple) bool {
 		c, err := t[i].Compare(v)
-		if err != nil {
-			return false
-		}
-		switch op {
-		case "=":
-			return c == 0
-		case "!=", "<>":
-			return c != 0
-		case "<":
-			return c < 0
-		case "<=":
-			return c <= 0
-		case ">":
-			return c > 0
-		case ">=":
-			return c >= 0
-		default:
-			return false
-		}
+		return err == nil && holds(c)
 	}, nil
 }
 

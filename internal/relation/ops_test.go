@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -285,7 +286,7 @@ func TestJoin(t *testing.T) {
 	if _, ok := j.Schema().Index("CLASS.Class"); !ok {
 		t.Errorf("join schema missing CLASS.Class: %s", j.Schema())
 	}
-	nl, err := sub.JoinNestedLoop(cls, JoinOn{Left: "Class", Right: "Class"})
+	nl, err := joinNestedLoop(sub, cls, JoinOn{Left: "Class", Right: "Class"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,6 +327,44 @@ func TestMinMaxCountDistinct(t *testing.T) {
 	}
 }
 
+// joinNestedLoop computes the same equi-join as Join by comparing every
+// pair of rows — the reference the hash join is checked against.
+func joinNestedLoop(r, s *Relation, on ...JoinOn) (*Relation, error) {
+	if len(on) == 0 {
+		return nil, fmt.Errorf("relation: join of %s and %s requires at least one condition", r.name, s.name)
+	}
+	li := make([]int, len(on))
+	ri := make([]int, len(on))
+	for k, o := range on {
+		var ok bool
+		if li[k], ok = r.schema.Index(o.Left); !ok {
+			return nil, fmt.Errorf("relation %s: join: no column %q", r.name, o.Left)
+		}
+		if ri[k], ok = s.schema.Index(o.Right); !ok {
+			return nil, fmt.Errorf("relation %s: join: no column %q", s.name, o.Right)
+		}
+	}
+	schema, err := joinSchema(r, s)
+	if err != nil {
+		return nil, err
+	}
+	out := New(r.name+"⋈"+s.name, schema)
+	for _, lt := range r.rows {
+	right:
+		for _, rt := range s.rows {
+			for k := range on {
+				if !lt[li[k]].Equal(rt[ri[k]]) {
+					continue right
+				}
+			}
+			row := make(Tuple, 0, len(lt)+len(rt))
+			row = append(append(row, lt...), rt...)
+			out.rows = append(out.rows, row)
+		}
+	}
+	return out, nil
+}
+
 // Property: hash join and nested-loop join agree on random data.
 func TestJoinStrategiesAgreeProperty(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -341,7 +380,7 @@ func TestJoinStrategiesAgreeProperty(t *testing.T) {
 			r.MustInsert(Int(int64(rr.Intn(8))), Int(int64(rr.Intn(100))))
 		}
 		h, err1 := l.Join(r, JoinOn{Left: "K", Right: "K2"})
-		n, err2 := l.JoinNestedLoop(r, JoinOn{Left: "K", Right: "K2"})
+		n, err2 := joinNestedLoop(l, r, JoinOn{Left: "K", Right: "K2"})
 		if err1 != nil || err2 != nil {
 			return false
 		}
