@@ -48,8 +48,11 @@ race:
 # -bench exposition through cmd/benchjson, leaving BENCH_induce.json
 # and BENCH_query.json (name, iterations, ns/op, B/op, allocs/op) —
 # committed as the regression baseline bench-check diffs against.
-# BENCHTIME=10x etc. for more stable numbers.
-BENCHTIME ?= 1x
+# Baselines and checks share one timing regime, BENCHTIME: at 1x a
+# benchmark's B/op can be bimodal (one cold iteration decides it), while
+# 10x averages the allocation counts over warm iterations and keeps the
+# whole suite to about a minute. Re-record with `make bench` if it moves.
+BENCHTIME ?= 10x
 INDUCE_BENCHES = Induce|Table1|Tree
 QUERY_BENCHES  = Query|Infer|EndToEnd|Join|Indexed|Explain|Prepared
 bench:

@@ -40,10 +40,13 @@ func TestQueryInduceHammer(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < queriesPerReader; j++ {
-				sql, mode, want := forwardQuery, answer.ForwardOnly, 2
+				sql, want := forwardQuery, 2
 				if (i+j)%2 == 1 {
-					sql, mode, want = backwardQuery, answer.BackwardOnly, 7
+					sql, want = backwardQuery, 7
 				}
+				// Readers ask one statement in different modes at once,
+				// racing on the statement's shared cache entry.
+				mode := []answer.Mode{answer.Combined, answer.ForwardOnly, answer.BackwardOnly}[i%3]
 				resp, err := s.Query(sql, mode)
 				if err != nil {
 					errs <- err
@@ -107,16 +110,26 @@ func TestVersionAdvancesOnInduce(t *testing.T) {
 }
 
 // TestQueryCachedPerSnapshot checks that a repeated query is served from
-// the snapshot's cache (same response pointer) and that installing a new
-// snapshot starts a fresh cache.
+// the snapshot's cache (same response pointer), that the answer modes of
+// one statement share a single execution and a single inference result,
+// and that installing a new snapshot starts a fresh cache.
 func TestQueryCachedPerSnapshot(t *testing.T) {
 	s := shipSystem(t)
 	if _, err := s.Induce(induct.Options{Nc: 3}); err != nil {
 		t.Fatal(err)
 	}
+	scans := func() int64 {
+		st := s.PlannerStats()
+		return st.FullScans + st.IndexScans
+	}
+	base := scans()
 	r1, err := s.Query(forwardQuery, answer.ForwardOnly)
 	if err != nil {
 		t.Fatal(err)
+	}
+	once := scans() - base
+	if once == 0 {
+		t.Fatal("first query scanned nothing")
 	}
 	r2, err := s.Query(forwardQuery, answer.ForwardOnly)
 	if err != nil {
@@ -125,13 +138,23 @@ func TestQueryCachedPerSnapshot(t *testing.T) {
 	if r1 != r2 {
 		t.Error("repeated query on one snapshot should hit the response cache")
 	}
-	// Same SQL, different mode: distinct cache entry.
-	r3, err := s.Query(forwardQuery, answer.Combined)
-	if err != nil {
-		t.Fatal(err)
+	// Same SQL, other modes: distinct responses over one execution and
+	// one inference result.
+	for _, mode := range []answer.Mode{answer.Combined, answer.BackwardOnly} {
+		r, err := s.Query(forwardQuery, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == r1 {
+			t.Errorf("mode %v must not share the forward response", mode)
+		}
+		if r.Inference != r1.Inference || r.Extensional != r1.Extensional {
+			t.Errorf("mode %v re-derived or re-executed: inference shared %v, extensional shared %v",
+				mode, r.Inference == r1.Inference, r.Extensional == r1.Extensional)
+		}
 	}
-	if r3 == r1 {
-		t.Error("different mode must not share a cache entry")
+	if got := scans() - base; got != once {
+		t.Errorf("three modes scanned %d access paths, want the one execution's %d", got, once)
 	}
 	if _, err := s.Induce(induct.Options{Nc: 3}); err != nil {
 		t.Fatal(err)

@@ -1,105 +1,164 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
+	"unicode"
 
+	"intensional/internal/answer"
+	"intensional/internal/infer"
 	"intensional/internal/plan"
 	"intensional/internal/query"
+	"intensional/internal/relation"
 	"intensional/internal/semopt"
 )
 
-// NormalizeSQL collapses runs of whitespace to single spaces so that
-// formatting variants of one statement share a prepared plan. It is the
-// prepared-statement cache key; matching stays case-sensitive because
-// string literals are.
+// NormalizeSQL collapses runs of whitespace outside string literals to
+// single spaces and trims the ends, so that formatting variants of one
+// statement share a cache entry. Literals are kept byte for byte, by the
+// lexer's rule: ' or " opens one, the same quote closes it, no escapes.
+// It is the statement cache key and the text that is planned; matching
+// stays case-sensitive because string literals are.
 func NormalizeSQL(sql string) string {
-	return strings.Join(strings.Fields(sql), " ")
+	var b strings.Builder
+	b.Grow(len(sql))
+	var quote rune // the open literal's delimiter; 0 outside literals
+	space := false
+	for _, r := range sql {
+		switch {
+		case quote == 0 && unicode.IsSpace(r):
+			space = b.Len() > 0
+			continue
+		case quote == 0 && (r == '\'' || r == '"'):
+			quote = r
+		case r == quote:
+			quote = 0
+		}
+		if space {
+			b.WriteByte(' ')
+			space = false
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
 }
 
-// planCache memoises prepared statements for one snapshot, keyed by
-// normalized SQL. Like the response cache it dies with its snapshot, so
-// a plan never outlives the catalog version and rule base it was chosen
-// for — the staleness story for cached index choices and semantic
-// rewrites is simply snapshot lifetime.
-type planCache struct {
+// stmt is one statement's entry in a snapshot's cache: the plan, the one
+// inference result its rewrites were advised from, and, once queried,
+// the extensional answer (executed at most once, whatever the mode) and
+// a response per answer mode sharing both.
+type stmt struct {
+	prep *query.Prepared
+	inf  *infer.Result
+
+	mu   sync.Mutex
+	ext  *relation.Relation        // guarded by mu
+	resp map[answer.Mode]*Response // guarded by mu
+}
+
+// rendered returns the response already rendered for mode, or nil.
+func (st *stmt) rendered(mode answer.Mode) *Response {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.resp[mode]
+}
+
+// respond returns the response for mode, rendering it on first request.
+// The lock is held across execution, so concurrent first queries wait
+// for one run instead of each scanning.
+func (st *stmt) respond(ctx context.Context, version uint64, mode answer.Mode) (*Response, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if r := st.resp[mode]; r != nil {
+		return r, nil
+	}
+	if st.ext == nil {
+		ext, err := st.prep.RunContext(ctx)
+		if err != nil {
+			return nil, err
+		}
+		st.ext = ext
+	}
+	r := &Response{
+		Version:     version,
+		Extensional: st.ext,
+		Analysis:    st.prep.Analysis,
+		Inference:   st.inf,
+		Intensional: answer.Render(st.prep.Analysis, st.inf, mode),
+	}
+	st.resp[mode] = r
+	return r, nil
+}
+
+// stmtCache holds one snapshot's statements, keyed by normalized SQL. It
+// dies with its snapshot, so nothing in it outlives the data and rule
+// base it was derived from.
+type stmtCache struct {
 	mu sync.Mutex
-	m  map[string]*query.Prepared // guarded by mu
+	m  map[string]*stmt // guarded by mu
 }
 
-// maxCachedPlans bounds the cache; past it the whole cache is dropped,
-// same deterministic eviction as the response cache.
-const maxCachedPlans = 1024
+// maxCachedStmts bounds the cache; past it the whole cache is dropped,
+// which keeps eviction deterministic.
+const maxCachedStmts = 1024
 
-func newPlanCache() *planCache {
-	return &planCache{m: make(map[string]*query.Prepared)}
+func newStmtCache() *stmtCache {
+	return &stmtCache{m: make(map[string]*stmt)}
 }
 
-func (c *planCache) get(k string) *query.Prepared {
+func (c *stmtCache) get(k string) *stmt {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.m[k]
 }
 
-func (c *planCache) put(k string, p *query.Prepared) {
+func (c *stmtCache) put(k string, st *stmt) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.m) >= maxCachedPlans {
-		c.m = make(map[string]*query.Prepared)
+	if len(c.m) >= maxCachedStmts {
+		c.m = make(map[string]*stmt)
 	}
-	c.m[k] = p
+	c.m[k] = st
 }
 
-func (c *planCache) len() int {
+func (c *stmtCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
 }
 
-// rewriter adapts the snapshot's semantic optimizer to the query
-// processor's Rewriter hook. The adaptation exists because of the import
-// direction: semopt consumes query.Analysis, so query cannot call
-// semopt itself.
+// prepare returns the snapshot's entry for a normalized statement,
+// planning it on first use. It is the serving path's one inference call:
+// the rewriter hook derives the result, advises the rewrites from it, and
+// the entry keeps it for every answer mode.
 //
-// Safety argument for applying the advice to execution: the dictionary
-// serves only rules consistent with this snapshot's data (maintenance
-// retires contradicted rules before a new snapshot is published), so a
-// restriction semopt derives from them holds for every tuple of the true
-// answer. Adding it as a filter removes only non-answers; dropping a
-// redundant restriction keeps the filter logically equal; an Empty proof
-// means no stored tuple can qualify. And because the plan cache is
-// per-snapshot, a rewrite can never outlive the rule base that justified
-// it.
-func (sn *snapshot) rewriter() query.Rewriter {
-	return func(an *query.Analysis) (*query.Rewrites, error) {
-		rep, err := semopt.Analyze(an, sn.d)
+// Applying the advice is safe because the dictionary serves only rules
+// consistent with this snapshot's data (maintenance retires contradicted
+// rules before publishing), so an implied restriction removes only
+// non-answers, a redundant one is logically equal, and an Empty proof
+// means no stored tuple qualifies.
+func (s *System) prepare(sn *snapshot, key string) (*stmt, error) {
+	if st := sn.stmts.get(key); st != nil {
+		s.planHits.Add(1)
+		return st, nil
+	}
+	s.planMisses.Add(1)
+	st := &stmt{resp: make(map[answer.Mode]*Response)}
+	prep, err := sn.q.Prepare(key, func(an *query.Analysis) (*query.Rewrites, error) {
+		res, err := sn.inf.Derive(an)
 		if err != nil {
 			return nil, err
 		}
-		return &query.Rewrites{
-			Empty:     rep.Empty,
-			Because:   rep.Because,
-			Implied:   rep.Implied,
-			Redundant: rep.Redundant,
-		}, nil
-	}
-}
-
-// prepare returns the snapshot's prepared statement for sql, planning
-// and caching it on first use.
-func (s *System) prepare(sn *snapshot, sql string) (*query.Prepared, error) {
-	key := NormalizeSQL(sql)
-	if p := sn.plans.get(key); p != nil {
-		s.planHits.Add(1)
-		return p, nil
-	}
-	s.planMisses.Add(1)
-	p, err := sn.q.Prepare(key, sn.rewriter())
+		st.inf = res
+		return semopt.Advise(an, res), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	sn.plans.put(key, p)
-	return p, nil
+	st.prep = prep
+	sn.stmts.put(key, st)
+	return st, nil
 }
 
 // Prepare plans a SQL query against the current snapshot, applying the
@@ -107,7 +166,11 @@ func (s *System) prepare(sn *snapshot, sql string) (*query.Prepared, error) {
 // statement keyed by normalized SQL. Repeated calls with the same
 // statement against an unchanged snapshot return the cached plan.
 func (s *System) Prepare(sql string) (*query.Prepared, error) {
-	return s.prepare(s.current(), sql)
+	st, err := s.prepare(s.current(), NormalizeSQL(sql))
+	if err != nil {
+		return nil, err
+	}
+	return st.prep, nil
 }
 
 // Explain returns the typed execution plan for a SQL query — access
@@ -135,8 +198,10 @@ type PlannerStats struct {
 	// incomparable probe). Nonzero and climbing means some query is
 	// quietly running O(n); the reason is logged when it happens.
 	IndexFallbacks int64
-	// PlanCacheHits / PlanCacheMisses are cumulative prepared-statement
-	// cache outcomes; CachedPlans is the current snapshot's cache size.
+	// PlanCacheHits / PlanCacheMisses are cumulative statement-cache
+	// outcomes of planning requests (a query answered from an already
+	// rendered response plans nothing and counts neither); CachedPlans is
+	// the current snapshot's cache size.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 	CachedPlans     int
@@ -151,6 +216,6 @@ func (s *System) PlannerStats() PlannerStats {
 		IndexFallbacks:  s.counters.IndexFallbacks.Load(),
 		PlanCacheHits:   s.planHits.Load(),
 		PlanCacheMisses: s.planMisses.Load(),
-		CachedPlans:     s.current().plans.len(),
+		CachedPlans:     s.current().stmts.len(),
 	}
 }

@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"intensional/internal/answer"
 	"intensional/internal/core"
 	"intensional/internal/induct"
+	"intensional/internal/infer"
 )
 
 func inducedShipSystem(t *testing.T) *core.System {
@@ -32,6 +34,7 @@ func TestExplainReturnsPlan(t *testing.T) {
 		`SELECT COUNT(*) FROM SUBMARINE`,
 		`SELECT Type, COUNT(*), AVG(Displacement) FROM CLASS GROUP BY Type`,
 		`SELECT Class FROM CLASS WHERE Type = "SSBN" OR Displacement > 8000`,
+		`SELECT Class FROM CLASS WHERE Displacement < 2000`,
 	}
 	for _, sql := range queries {
 		pl, err := s.Explain(sql)
@@ -47,8 +50,26 @@ func TestExplainReturnsPlan(t *testing.T) {
 			t.Errorf("Explain(%q): empty rendering", sql)
 		}
 		// The plan must be for a runnable statement.
-		if _, err := s.Query(sql, answer.Combined); err != nil {
+		resp, err := s.Query(sql, answer.Combined)
+		if err != nil {
 			t.Errorf("Query(%q) after Explain: %v", sql, err)
+			continue
+		}
+		// The answer carries the one inference result the plan was
+		// rewritten from, equal to a fresh derivation.
+		prep, err := s.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := infer.New(s.Dictionary()).Derive(prep.Analysis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp.Inference, want) {
+			t.Errorf("Query(%q) inference = %+v, want %+v", sql, resp.Inference, want)
+		}
+		if empty := pl.Root.Kind() == "Empty"; empty != resp.Inference.Empty {
+			t.Errorf("Explain(%q): Empty root %v, inference proves empty %v", sql, empty, resp.Inference.Empty)
 		}
 	}
 }
@@ -223,7 +244,37 @@ func TestPreparedStatementCache(t *testing.T) {
 }
 
 func TestNormalizeSQL(t *testing.T) {
-	if got := core.NormalizeSQL("  SELECT   x\n\tFROM  t "); got != "SELECT x FROM t" {
-		t.Errorf("NormalizeSQL = %q", got)
+	for _, c := range []struct{ in, want string }{
+		{"  SELECT   x\n\tFROM  t ", "SELECT x FROM t"},
+		{"SELECT x FROM t WHERE a = \"A  B\"", "SELECT x FROM t WHERE a = \"A  B\""},
+		{"SELECT x\nFROM t WHERE a = 'A\tB'   AND b = \" C \"", "SELECT x FROM t WHERE a = 'A\tB' AND b = \" C \""},
+		// One quote kind inside the other is data, not a delimiter.
+		{"WHERE a = \"it's  so\"  AND b = 'say \"x  y\"'  ", "WHERE a = \"it's  so\" AND b = 'say \"x  y\"'"},
+	} {
+		if got := core.NormalizeSQL(c.in); got != c.want {
+			t.Errorf("NormalizeSQL(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+
+	// Whitespace inside a literal is data: the statement that finds a
+	// value holding a double space and a tab must not run as its
+	// collapsed variant, nor share that variant's cache entry.
+	s := shipSystem(t)
+	if _, err := s.Apply(t.Context(), "INSERT INTO CLASS VALUES (\"1398\", \"Two  Spaces\tTab\", \"SSN\", 4000)"); err != nil {
+		t.Fatal(err)
+	}
+	exact, err := s.Query("SELECT Class FROM CLASS WHERE ClassName = \"Two  Spaces\tTab\"", answer.Combined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Extensional.Len() != 1 {
+		t.Errorf("exact literal found %d rows, want 1", exact.Extensional.Len())
+	}
+	collapsed, err := s.Query("SELECT Class FROM CLASS WHERE ClassName = \"Two Spaces Tab\"", answer.Combined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if collapsed.Extensional.Len() != 0 {
+		t.Errorf("collapsed literal found %d rows, want 0", collapsed.Extensional.Len())
 	}
 }

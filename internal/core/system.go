@@ -8,7 +8,7 @@
 //
 // A System is safe for concurrent use. It publishes its state as an
 // immutable snapshot — catalog, dictionary, rule set, and a per-snapshot
-// response cache, stamped with a version number. Readers (Query,
+// statement cache, stamped with a version number. Readers (Query,
 // QueryContext, Catalog, Dictionary, Rules, Version) load the current
 // snapshot and work against it without further coordination; nothing in
 // a published snapshot is mutated except internally locked caches.
@@ -39,8 +39,8 @@ import (
 	"intensional/internal/induct"
 	"intensional/internal/infer"
 	"intensional/internal/maintain"
-	"intensional/internal/query"
 	"intensional/internal/quel"
+	"intensional/internal/query"
 	"intensional/internal/relation"
 	"intensional/internal/rules"
 	"intensional/internal/storage"
@@ -119,14 +119,13 @@ type System struct {
 
 // snapshot is one immutable published state of the system. Everything
 // reachable from it is frozen once installed, except the dictionary's
-// internally locked domain caches and the response cache.
+// internally locked domain caches and the statement cache.
 type snapshot struct {
 	version uint64
 	cat     *storage.Catalog
 	d       *dict.Dictionary
 	q       *query.Processor
 	inf     *infer.Processor
-	cache   *responseCache
 	// full is the complete rule base including stale rules; the
 	// dictionary's rule set (what inference serves) is full minus the
 	// rules maint marks stale.
@@ -134,11 +133,10 @@ type snapshot struct {
 	// maint classifies full: which rules a mutation has contradicted
 	// (stale) or loosened (refinable) since the last (re-)induction.
 	maint *maintain.State
-	// plans caches prepared statements for this snapshot, keyed by
-	// normalized SQL. Per-snapshot like the response cache, so a plan's
-	// index choices and semantic rewrites never outlive the data and
-	// rules that justified them.
-	plans *planCache
+	// stmts caches each statement's plan, inference result and answers
+	// for this snapshot, keyed by normalized SQL, so none of them
+	// outlives the data and rules that justified it.
+	stmts *stmtCache
 }
 
 func newSnapshot(version uint64, cat *storage.Catalog, d *dict.Dictionary) *snapshot {
@@ -153,10 +151,9 @@ func newSnapshot(version uint64, cat *storage.Catalog, d *dict.Dictionary) *snap
 		d:       d,
 		q:       q,
 		inf:     infer.New(d),
-		cache:   newResponseCache(),
 		full:    d.Rules(),
 		maint:   maintain.NewState(),
-		plans:   newPlanCache(),
+		stmts:   newStmtCache(),
 	}
 }
 
@@ -294,79 +291,26 @@ func (s *System) Query(sql string, mode answer.Mode) (*Response, error) {
 // QueryContext is Query with a deadline: the context is threaded into
 // the streaming executor, which checks it at batch boundaries, so a
 // caller-imposed timeout abandons a long scan mid-stream rather than
-// only between pipeline stages. Successful responses are cached per
-// snapshot, keyed by (sql, mode) — a repeated query against an
-// unchanged rule base re-materialises nothing.
+// only between pipeline stages. A statement is planned, inferred and
+// executed at most once per snapshot; each mode's response is rendered
+// once and then served from the statement's cache entry — a repeated
+// query against an unchanged snapshot re-materialises nothing.
 func (s *System) QueryContext(ctx context.Context, sql string, mode answer.Mode) (*Response, error) {
 	sn := s.current()
-	key := fmt.Sprintf("%d\x00%s", mode, sql)
-	if r, ok := sn.cache.get(key); ok {
-		return r, nil
+	key := NormalizeSQL(sql)
+	if st := sn.stmts.get(key); st != nil {
+		if r := st.rendered(mode); r != nil {
+			return r, nil
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Execute through the prepared-statement path: the plan — with the
-	// rule base's semantic rewrites applied — is cached per snapshot, so
-	// a repeated statement skips parse, analysis, and planning entirely.
-	prep, err := s.prepare(sn, sql)
+	st, err := s.prepare(sn, key)
 	if err != nil {
 		return nil, err
 	}
-	ext, err := prep.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	an := prep.Analysis
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err := sn.inf.Derive(an)
-	if err != nil {
-		return nil, err
-	}
-	resp := &Response{
-		Version:     sn.version,
-		Extensional: ext,
-		Analysis:    an,
-		Inference:   res,
-		Intensional: answer.Render(an, res, mode),
-	}
-	sn.cache.put(key, resp)
-	return resp, nil
-}
-
-// responseCache memoises successful query responses for one snapshot.
-// It dies with its snapshot, so entries never outlive the rule base and
-// data that produced them.
-type responseCache struct {
-	mu sync.Mutex
-	m  map[string]*Response // guarded by mu
-}
-
-// maxCachedResponses bounds the cache; past it the whole cache is
-// dropped, which keeps eviction deterministic and the common
-// steady-state workload (a bounded set of hot queries) fully cached.
-const maxCachedResponses = 1024
-
-func newResponseCache() *responseCache {
-	return &responseCache{m: make(map[string]*Response)}
-}
-
-func (c *responseCache) get(k string) (*Response, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.m[k]
-	return r, ok
-}
-
-func (c *responseCache) put(k string, r *Response) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) >= maxCachedResponses {
-		c.m = make(map[string]*Response)
-	}
-	c.m[k] = r
+	return st.respond(ctx, sn.version, mode)
 }
 
 // declsFile is the database directory entry holding the dictionary

@@ -2,16 +2,40 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestRunAll executes every registered experiment and checks each report
-// carries its key artifact.
+var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current RunAll output")
+
+// goldenFile pins the complete artifact report byte for byte, so a
+// change anywhere in the pipeline that moves a rule, an answer or a
+// piece of optimizer advice shows up as a diff of this file.
+var goldenFile = filepath.Join("testdata", "golden.txt")
+
+// TestRunAll executes every registered experiment, compares the report
+// with the committed golden file, and checks each report carries its key
+// artifact. Run `go test ./internal/experiments -update` to regenerate
+// the golden file after an intended change.
 func TestRunAll(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RunAll(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(goldenFile, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Errorf("RunAll output differs from %s; diff the report against it, and rerun with -update if the change is intended", goldenFile)
 	}
 	out := buf.String()
 	wants := []string{

@@ -22,9 +22,9 @@ import (
 // EXPLAIN and execution), query.Prepared and query.aggPlan (the
 // prepared-statement cache), quel.RetrievePlan/scanPlan/accessPath
 // (the compiled access paths inside cached plans), and core.Response /
-// core.snapshot (the response cache and the snapshot chain).
-// Internally-locked caches hanging off a snapshot (responseCache,
-// IndexCache, planCache) are the sanctioned mutable leaves and are
+// core.snapshot (the cached responses and the snapshot chain).
+// Internally-locked caches hanging off a snapshot (stmtCache and its
+// stmt entries, IndexCache) are the sanctioned mutable leaves and are
 // deliberately not frozen — lockguard owns their contracts.
 //
 // The pass reports:
@@ -248,10 +248,10 @@ func mutationSummaries(g *CallGraph, freshRet map[*types.Func]bool) map[*types.F
 // frozenWriteBase attributes a write-through expression to the nearest
 // enclosing *named* type on its access chain and reports that type when
 // it is frozen. Writing `p.Cols[i]` mutates the plan p (the []string is
-// anonymous memory of the plan); writing `sn.plans.m[k]` mutates the
-// planCache, not the snapshot — the chain hits a named, non-frozen type
-// first, and those (planCache, responseCache, IndexCache, Catalog, the
-// query Processor) are the sanctioned internally-locked mutable leaves
+// anonymous memory of the plan); writing `sn.stmts.m[k]` mutates the
+// stmtCache, not the snapshot — the chain hits a named, non-frozen type
+// first, and those (stmtCache, stmt, IndexCache, Catalog, the query
+// Processor) are the sanctioned internally-locked mutable leaves
 // whose contracts lockguard owns.
 func frozenWriteBase(pkg *Package, e ast.Expr) (*types.Named, bool) {
 	for {

@@ -29,10 +29,33 @@ type Rewrites struct {
 	Redundant []int
 }
 
+// String renders the advice.
+func (r *Rewrites) String() string {
+	var b strings.Builder
+	if r.Empty {
+		for _, why := range r.Because {
+			fmt.Fprintf(&b, "empty: no stored value satisfies %s\n", why)
+		}
+		return b.String()
+	}
+	for _, imp := range r.Implied {
+		fmt.Fprintf(&b, "implied filter: %s\n", imp)
+	}
+	for _, i := range r.Redundant {
+		fmt.Fprintf(&b, "redundant restriction #%d\n", i)
+	}
+	if b.Len() == 0 {
+		b.WriteString("no semantic optimization applies\n")
+	}
+	return b.String()
+}
+
 // Rewriter derives semantic rewrites from a query's analysis. The core
-// engine supplies one backed by semopt.Analyze — this package cannot
+// engine supplies one backed by semopt.Advise — this package cannot
 // import semopt directly, because semopt consumes this package's
-// Analysis.
+// Analysis. A rewriter must return no advice for a non-conjunctive
+// analysis: only a conjunction's restriction indices line up with WHERE
+// conjuncts.
 type Rewriter func(*Analysis) (*Rewrites, error)
 
 // Prepared is a planned SELECT: parsed, analysed, semantically
@@ -47,14 +70,17 @@ type Prepared struct {
 	// Analysis is the pristine structural summary — rewrites change the
 	// executed filter, never the analysis the inference processor sees.
 	Analysis *Analysis
+	// Rewrites is the advice the plan was built from; nil when the
+	// statement was prepared without a Rewriter.
+	Rewrites *Rewrites
 
-	rewrites    []plan.Rewrite
+	applied     []plan.Rewrite
 	emptyReason string
 
 	// Exactly one execution path is set:
-	empty *relation.Schema    // proven-empty SELECT: schema only, no scan
-	rp    *quel.RetrievePlan  // plain SELECT
-	agg   *aggPlan            // aggregate / GROUP BY SELECT
+	empty *relation.Schema   // proven-empty SELECT: schema only, no scan
+	rp    *quel.RetrievePlan // plain SELECT
+	agg   *aggPlan           // aggregate / GROUP BY SELECT
 }
 
 // Prepare parses, analyses, optionally rewrites, and plans a SELECT.
@@ -77,18 +103,13 @@ func (p *Processor) PrepareSelect(sql string, sel *sqlparse.Select, rewriter Rew
 	if err != nil {
 		return nil, err
 	}
-	prep := &Prepared{SQL: sql, Analysis: an}
-
-	// Rewrites apply only to conjunctive queries — the paper's setting,
-	// and the only shape whose restriction indices line up with WHERE
-	// conjuncts.
 	var rw *Rewrites
-	if rewriter != nil && an.Conjunctive {
-		rw, err = rewriter(an)
-		if err != nil {
+	if rewriter != nil {
+		if rw, err = rewriter(an); err != nil {
 			return nil, err
 		}
 	}
+	prep := &Prepared{SQL: sql, Analysis: an, Rewrites: rw}
 	isAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
 
 	if rw != nil && rw.Empty {
@@ -100,7 +121,7 @@ func (p *Processor) PrepareSelect(sql string, sel *sqlparse.Select, rewriter Rew
 			reasons[i] = "no stored value satisfies " + why.String()
 		}
 		prep.emptyReason = strings.Join(reasons, "; ")
-		prep.rewrites = append(prep.rewrites, plan.Rewrite{Kind: "empty", Detail: prep.emptyReason})
+		prep.applied = append(prep.applied, plan.Rewrite{Kind: "empty", Detail: prep.emptyReason})
 		if isAgg {
 			prep.agg, err = p.prepareAggregate(b, sel, nil, prep.emptyReason)
 			return prep, err
@@ -121,7 +142,7 @@ func (p *Processor) PrepareSelect(sql string, sel *sqlparse.Select, rewriter Rew
 	if err != nil {
 		return nil, err
 	}
-	prep.rewrites = append(prep.rewrites, recs...)
+	prep.applied = append(prep.applied, recs...)
 
 	if isAgg {
 		prep.agg, err = p.prepareAggregate(b, sel, where, "")
@@ -176,7 +197,7 @@ func (pr *Prepared) Describe() *plan.Plan {
 	default:
 		root = pr.rp.Describe()
 	}
-	return &plan.Plan{SQL: pr.SQL, Root: root, Rewrites: pr.rewrites}
+	return &plan.Plan{SQL: pr.SQL, Root: root, Rewrites: pr.applied}
 }
 
 // lowerWhere lowers the WHERE clause with the rewrites applied: conjuncts

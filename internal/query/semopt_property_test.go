@@ -159,18 +159,7 @@ func TestSemoptRewrittenPlansMatchBaseline(t *testing.T) {
 			return false
 		}
 
-		rewriter := func(an *query.Analysis) (*query.Rewrites, error) {
-			rep, err := semopt.Analyze(an, d)
-			if err != nil {
-				return nil, err
-			}
-			return &query.Rewrites{
-				Empty:     rep.Empty,
-				Because:   rep.Because,
-				Implied:   rep.Implied,
-				Redundant: rep.Redundant,
-			}, nil
-		}
+		rewriter := func(an *query.Analysis) (*query.Rewrites, error) { return semopt.Analyze(an, d) }
 		rewritten, err := proc.Prepare(sql, rewriter)
 		if err != nil {
 			t.Logf("seed %d: rewritten prepare %q: %v", seed, sql, err)

@@ -16,65 +16,34 @@
 package semopt
 
 import (
-	"fmt"
-	"strings"
-
 	"intensional/internal/dict"
 	"intensional/internal/infer"
 	"intensional/internal/query"
-	"intensional/internal/rules"
 )
-
-// Report is the optimizer's advice for one query.
-type Report struct {
-	// Empty reports the answer is provably empty; Because names the
-	// restrictions that prove it.
-	Empty   bool
-	Because []query.Restriction
-	// Implied lists additional restrictions every answer tuple satisfies
-	// (derived by forward inference), usable as extra plan filters.
-	Implied []query.Restriction
-	// Redundant lists indices into the analysis' Restrictions whose
-	// condition is implied by another restriction and can be dropped.
-	Redundant []int
-}
-
-// String renders the advice.
-func (r *Report) String() string {
-	var b strings.Builder
-	if r.Empty {
-		for _, why := range r.Because {
-			fmt.Fprintf(&b, "empty: no stored value satisfies %s\n", why)
-		}
-		return b.String()
-	}
-	for _, imp := range r.Implied {
-		fmt.Fprintf(&b, "implied filter: %s\n", imp)
-	}
-	for _, i := range r.Redundant {
-		fmt.Fprintf(&b, "redundant restriction #%d\n", i)
-	}
-	if b.Len() == 0 {
-		b.WriteString("no semantic optimization applies\n")
-	}
-	return b.String()
-}
 
 // Analyze derives the optimizer's advice for a query analysis using the
 // dictionary's rule base and active domains.
-func Analyze(an *query.Analysis, d *dict.Dictionary) (*Report, error) {
-	rep := &Report{}
-	if !an.Conjunctive {
-		return rep, nil // only conjunctive conditions are analysed
-	}
+func Analyze(an *query.Analysis, d *dict.Dictionary) (*query.Rewrites, error) {
 	res, err := infer.New(d).Derive(an)
 	if err != nil {
 		return nil, err
 	}
+	return Advise(an, res), nil
+}
+
+// Advise turns the inference result for an analysis into the
+// optimizer's advice. It derives nothing itself, so the one result a
+// statement is inferred with serves both its rewrites and its
+// intensional answer. A non-conjunctive analysis gets no advice.
+func Advise(an *query.Analysis, res *infer.Result) *query.Rewrites {
+	rw := &query.Rewrites{}
+	if !res.Conjunctive {
+		return rw
+	}
 	if res.Empty {
-		rep.Empty = true
-		rep.Because = res.EmptyBecause
-		return rep, nil
+		rw.Empty = true
+		rw.Because = res.EmptyBecause
+		return rw
 	}
 
 	// Forward facts become implied restrictions.
@@ -90,7 +59,7 @@ func Analyze(an *query.Analysis, d *dict.Dictionary) (*Report, error) {
 			r.Op = ">="
 			r.Val = f.Interval.Lo.Value
 		}
-		rep.Implied = append(rep.Implied, r)
+		rw.Implied = append(rw.Implied, r)
 	}
 
 	// Redundancy: restriction i is implied by restriction j (i != j) on
@@ -103,16 +72,14 @@ func Analyze(an *query.Analysis, d *dict.Dictionary) (*Report, error) {
 			if i == j || !rj.HasInterval {
 				continue
 			}
-			if !sameAttr(ri.Attr, rj.Attr) {
+			if !ri.Attr.EqualFold(rj.Attr) {
 				continue
 			}
 			if rj.Interval.Within(ri.Interval) && !ri.Interval.Within(rj.Interval) {
-				rep.Redundant = append(rep.Redundant, i)
+				rw.Redundant = append(rw.Redundant, i)
 				break
 			}
 		}
 	}
-	return rep, nil
+	return rw
 }
-
-func sameAttr(a, b rules.AttrRef) bool { return a.EqualFold(b) }

@@ -28,7 +28,7 @@ func shipSetup(t *testing.T) (*dict.Dictionary, *query.Processor) {
 	return d, query.New(cat)
 }
 
-func analyse(t *testing.T, d *dict.Dictionary, q *query.Processor, sql string) *semopt.Report {
+func analyse(t *testing.T, d *dict.Dictionary, q *query.Processor, sql string) *query.Rewrites {
 	t.Helper()
 	_, an, err := q.Run(sql)
 	if err != nil {

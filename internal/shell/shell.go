@@ -27,19 +27,17 @@ import (
 	"intensional/internal/integrity"
 	"intensional/internal/ker"
 	"intensional/internal/maintain"
-	"intensional/internal/query"
 	"intensional/internal/rules"
-	"intensional/internal/semopt"
 	"intensional/internal/sqlparse"
 )
 
 // Shell is one interactive session.
 type Shell struct {
-	sys     *core.System
-	model   *ker.Model // optional, enables .check
-	mode    answer.Mode
-	wantExt bool // print the extensional section of answers
-	wantInt bool // print the intensional section of answers
+	sys         *core.System
+	model       *ker.Model // optional, enables .check
+	mode        answer.Mode
+	wantExt     bool // print the extensional section of answers
+	wantInt     bool // print the intensional section of answers
 	explain     bool // print derivation traces after each query
 	explainPlan bool // print the execution plan after each query
 	out         io.Writer
@@ -371,17 +369,13 @@ func (s *Shell) cmdOptimize(sql string) {
 		fmt.Fprintln(s.out, "usage: .optimize SELECT ...")
 		return
 	}
-	_, an, err := query.New(s.sys.Catalog()).Run(sql)
+	// The advice shown is the advice the served plan was built from.
+	p, err := s.sys.Prepare(sql)
 	if err != nil {
 		fmt.Fprintln(s.out, "error:", err)
 		return
 	}
-	rep, err := semopt.Analyze(an, s.sys.Dictionary())
-	if err != nil {
-		fmt.Fprintln(s.out, "error:", err)
-		return
-	}
-	fmt.Fprint(s.out, rep)
+	fmt.Fprint(s.out, p.Rewrites)
 }
 
 func (s *Shell) cmdExplain(arg string) {
