@@ -547,7 +547,7 @@ func (s *System) Maintain(ctx context.Context, opts induct.Options) (*MaintainRe
 			return nil, fmt.Errorf("core: maintain: rebuild dictionary: %w", err)
 		}
 		in := induct.New(d, opts)
-		pairs, err := in.CandidatePairs()
+		pairs, err := in.CandidatePairs(ctx)
 		if err != nil {
 			return nil, err
 		}

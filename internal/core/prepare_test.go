@@ -21,23 +21,42 @@ func inducedShipSystem(t *testing.T) *core.System {
 }
 
 // TestExplainReturnsPlan: every query shape the executor accepts gets a
-// plan — selection, join, aggregate, GROUP BY, ORDER BY, DISTINCT, star.
+// plan — selection, join, aggregate, GROUP BY, ORDER BY, DISTINCT, star —
+// whose root is the operator that runs last; a statement the executor
+// would reject is rejected at prepare, not first at run.
 func TestExplainReturnsPlan(t *testing.T) {
 	s := inducedShipSystem(t)
-	queries := []string{
-		`SELECT * FROM CLASS`,
-		`SELECT Class FROM CLASS WHERE Displacement > 5000`,
-		`SELECT DISTINCT Type FROM CLASS`,
-		`SELECT Class, Displacement FROM CLASS ORDER BY Displacement DESC`,
-		`SELECT SUBMARINE.NAME FROM SUBMARINE, CLASS
-			WHERE SUBMARINE.CLASS = CLASS.CLASS AND CLASS.DISPLACEMENT > 8000`,
-		`SELECT COUNT(*) FROM SUBMARINE`,
-		`SELECT Type, COUNT(*), AVG(Displacement) FROM CLASS GROUP BY Type`,
-		`SELECT Class FROM CLASS WHERE Type = "SSBN" OR Displacement > 8000`,
-		`SELECT Class FROM CLASS WHERE Displacement < 2000`,
+	queries := []struct {
+		sql     string
+		root    string // expected root kind; "" for any
+		under   string // expected kind of the root's first child; "" for any
+		wantErr bool
+	}{
+		{sql: `SELECT * FROM CLASS`},
+		{sql: `SELECT Class FROM CLASS WHERE Displacement > 5000`},
+		{sql: `SELECT DISTINCT Type FROM CLASS`},
+		{sql: `SELECT Class, Displacement FROM CLASS ORDER BY Displacement DESC`},
+		{sql: `SELECT SUBMARINE.NAME FROM SUBMARINE, CLASS
+			WHERE SUBMARINE.CLASS = CLASS.CLASS AND CLASS.DISPLACEMENT > 8000`},
+		{sql: `SELECT COUNT(*) FROM SUBMARINE`},
+		{sql: `SELECT Type, COUNT(*), AVG(Displacement) FROM CLASS GROUP BY Type`},
+		{sql: `SELECT Class FROM CLASS WHERE Type = "SSBN" OR Displacement > 8000`},
+		{sql: `SELECT Class FROM CLASS WHERE Displacement < 2000`},
+		{sql: `SELECT Type, COUNT(*) FROM CLASS GROUP BY Type ORDER BY Type DESC`, root: "Sort", under: "Aggregate"},
+		{sql: `SELECT Type, COUNT(*) FROM CLASS GROUP BY Type ORDER BY Displacement`, wantErr: true},
 	}
-	for _, sql := range queries {
+	for _, q := range queries {
+		sql := q.sql
 		pl, err := s.Explain(sql)
+		if q.wantErr {
+			if err == nil {
+				t.Errorf("Explain(%q) = %s, want a prepare error", sql, pl)
+			}
+			if _, err := s.Prepare(sql); err == nil {
+				t.Errorf("Prepare(%q) succeeded, want an error", sql)
+			}
+			continue
+		}
 		if err != nil {
 			t.Errorf("Explain(%q): %v", sql, err)
 			continue
@@ -48,6 +67,14 @@ func TestExplainReturnsPlan(t *testing.T) {
 		}
 		if pl.String() == "" {
 			t.Errorf("Explain(%q): empty rendering", sql)
+		}
+		if q.root != "" && pl.Root.Kind() != q.root {
+			t.Errorf("Explain(%q): root %s, want %s\n%s", sql, pl.Root.Kind(), q.root, pl)
+		}
+		if q.under != "" {
+			if kids := pl.Root.Children(); len(kids) == 0 || kids[0].Kind() != q.under {
+				t.Errorf("Explain(%q): root's input is not %s\n%s", sql, q.under, pl)
+			}
 		}
 		// The plan must be for a runnable statement.
 		resp, err := s.Query(sql, answer.Combined)

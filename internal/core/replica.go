@@ -280,9 +280,12 @@ func (s *System) Promote() error {
 // handover. Demote itself only flips the fence (subsequent writes get
 // ErrNotLeader); deciding whether demotion is SAFE — every committed
 // record replicated to the successor — is the cluster layer's fencing
-// check, which must run before this. The caller then attaches a
-// replication loop pointed at the new leader.
-func (s *System) Demote() error {
+// check, which must run before this and pass the sequence it checked as
+// seq. A write committed between that check and this call would be
+// acknowledged by a node that then steps down, so Demote refuses unless
+// the committed sequence is still seq, checked under the writer mutex.
+// The caller then attaches a replication loop pointed at the new leader.
+func (s *System) Demote(seq uint64) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.log == nil {
@@ -290,6 +293,9 @@ func (s *System) Demote() error {
 	}
 	if s.follower.Load() {
 		return fmt.Errorf("core: Demote on a follower")
+	}
+	if s.walSeq != seq {
+		return fmt.Errorf("core: Demote fenced at seq %d, but seq %d has committed since", seq, s.walSeq)
 	}
 	s.follower.Store(true)
 	return nil

@@ -165,6 +165,30 @@ func TestReplicationRetentionFloor(t *testing.T) {
 	}
 }
 
+// TestDemoteRefusesPastFencedSeq: a write that commits between the
+// cluster layer's fence check and Demote would be acknowledged by a node
+// that then steps down, so Demote holds the commit point to the
+// sequence the fence checked.
+func TestDemoteRefusesPastFencedSeq(t *testing.T) {
+	s, _ := durableShip(t, false, core.DurableOptions{})
+	fenced := s.WalSeq()
+	if _, err := s.Apply(context.Background(), `INSERT INTO SUBMARINE VALUES ('SSN904', 'Racefish', '0204')`); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Demote(fenced); err == nil {
+		t.Fatalf("Demote(%d) succeeded at seq %d", fenced, s.WalSeq())
+	}
+	if s.Follower() {
+		t.Fatal("a refused Demote left the node a follower")
+	}
+	if err := s.Demote(s.WalSeq()); err != nil {
+		t.Fatalf("Demote at the current seq: %v", err)
+	}
+	if !s.Follower() {
+		t.Fatal("Demote did not make the node a follower")
+	}
+}
+
 func TestFollowerRefusesWrites(t *testing.T) {
 	f := blankFollower(t, core.DurableOptions{})
 	if !f.Follower() {

@@ -193,6 +193,11 @@ func TestProjectRowsAreRetainable(t *testing.T) {
 			t.Fatalf("row %d was clobbered: %s", i, row)
 		}
 	}
+	// An identity projection hands the input tuples through uncopied.
+	ident := collect(t, exec.NewProject(nil, rel.Schema(), []int{0, 1}, exec.NewFullScan(nil, rel, nil)))
+	if len(ident) != rel.Len() || &ident[0][0] != &rel.Row(0)[0] {
+		t.Error("identity projection copied its input rows")
+	}
 }
 
 func TestDistinctKeepsFirstOccurrence(t *testing.T) {

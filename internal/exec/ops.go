@@ -72,12 +72,15 @@ func (f *Filter) Close() error {
 }
 
 // Project streams a column subset (or reordering) of its input, carving
-// output rows out of one arena allocation per batch.
+// output rows out of one arena allocation per batch. An identity
+// projection — every input column, in order — passes input rows through
+// uncopied: published tuples are immutable, so sharing one is safe.
 type Project struct {
-	node   plan.Node
-	schema *relation.Schema
-	cols   []int // input column position per output column
-	input  Operator
+	node     plan.Node
+	schema   *relation.Schema
+	cols     []int // input column position per output column
+	input    Operator
+	identity bool
 
 	out   arena
 	child *Batch
@@ -88,7 +91,11 @@ type Project struct {
 // NewProject builds a projection executing node; cols maps each output
 // column to its input position.
 func NewProject(node plan.Node, schema *relation.Schema, cols []int, input Operator) *Project {
-	return &Project{node: node, schema: schema, cols: cols, input: input}
+	identity := len(cols) == input.Schema().Len()
+	for i, c := range cols {
+		identity = identity && c == i
+	}
+	return &Project{node: node, schema: schema, cols: cols, input: input, identity: identity}
 }
 
 // Plan returns the plan node this operator executes.
@@ -125,6 +132,10 @@ func (p *Project) Next(b *Batch) error {
 		}
 		t := p.child.Row(p.ci)
 		p.ci++
+		if p.identity {
+			b.Append(t)
+			continue
+		}
 		row := p.out.next()
 		for i, src := range p.cols {
 			row[i] = t[src]
@@ -216,7 +227,7 @@ type SortSpec struct {
 // Sort orders its whole input — the one operator that materializes by
 // necessity, which is why the planner keeps it last in the tree. Rows
 // are buffered on the first Next and emitted in batches; ordering is
-// stable and null-first, matching Relation.Sort.
+// stable and null-first (relation.SortCompare).
 type Sort struct {
 	node  plan.Node
 	keys  []SortSpec

@@ -1,6 +1,7 @@
 package induct
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -32,7 +33,7 @@ func (c Comparison) String() string {
 // meaningful constraints). Relationships with fewer than Nc instances
 // yield nothing.
 func (in *Inducer) InduceComparisons(r *dict.Relationship) ([]Comparison, error) {
-	joined, colFor, err := in.materialise(r)
+	joined, colFor, err := in.materialise(context.Background(), r)
 	if err != nil {
 		return nil, err
 	}

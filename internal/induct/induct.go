@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"intensional/internal/dict"
+	"intensional/internal/exec"
 	"intensional/internal/quel"
 	"intensional/internal/relation"
 	"intensional/internal/rules"
@@ -325,7 +326,10 @@ func distinctSorted(r *relation.Relation, col string) ([]relation.Value, error) 
 //     attribute) against the other participant's classifying attribute —
 //     including classifying attributes lifted through hierarchy-level
 //     links (e.g. SONAR.Sonar → CLASS.Type through SUBMARINE).
-func (in *Inducer) CandidatePairs() ([]Pair, error) {
+//
+// ctx bounds the relationship joins the inter-object pairs are drawn
+// from.
+func (in *Inducer) CandidatePairs(ctx context.Context) ([]Pair, error) {
 	var out []Pair
 	cat := in.d.Catalog()
 
@@ -349,7 +353,7 @@ func (in *Inducer) CandidatePairs() ([]Pair, error) {
 	}
 
 	for _, r := range in.d.Relationships() {
-		joined, colFor, err := in.materialise(r)
+		joined, colFor, err := in.materialise(ctx, r)
 		if err != nil {
 			return nil, err
 		}
@@ -433,14 +437,14 @@ func (in *Inducer) classifyingChain(object string) []rules.AttrRef {
 // relation. The cached join is immutable by contract — every consumer
 // only reads it. Cache entries self-invalidate when a base relation they
 // were built from is mutated or replaced in the catalog.
-func (in *Inducer) materialise(r *dict.Relationship) (*relation.Relation, map[string]string, error) {
+func (in *Inducer) materialise(ctx context.Context, r *dict.Relationship) (*relation.Relation, map[string]string, error) {
 	in.matMu.Lock()
 	defer in.matMu.Unlock()
 	k := strings.ToLower(r.Name)
 	if m, ok := in.matCache[k]; ok && m.fresh(in.d.Catalog()) {
 		return m.joined, m.colFor, nil
 	}
-	m, err := in.buildJoin(r)
+	m, err := in.buildJoin(ctx, r)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -463,54 +467,53 @@ func (m *materialised) fresh(cat *storage.Catalog) bool {
 // buildJoin joins the relationship relation with all participants (and
 // the hierarchy levels above them) into one wide relation whose columns
 // are qualified "Relation.Attribute". colFor maps attribute keys to the
-// joined column names.
-func (in *Inducer) buildJoin(r *dict.Relationship) (*materialised, error) {
+// joined column names. The join is one QUEL retrieve over the
+// dictionary's catalog — each relation ranged by a variable of its own
+// name, every column a target renamed "Relation.Attribute", every link an
+// equality conjunct — planned and executed like any other query, the way
+// the paper's ILS issues its statements to the same INGRES that answers
+// the user.
+func (in *Inducer) buildJoin(ctx context.Context, r *dict.Relationship) (*materialised, error) {
 	cat := in.d.Catalog()
+	sess := quel.NewSession(cat)
+	where := &quel.AndExpr{}
+	st := &quel.RetrieveStmt{Where: where}
 	var deps []matDep
-	qualify := func(name string) (*relation.Relation, error) {
-		rel, err := cat.Get(name)
+	colFor := map[string]string{}
+	joinedRels := map[string]bool{}
+	add := func(relName string) error {
+		rel, err := cat.Get(relName)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		deps = append(deps, matDep{name: name, rel: rel, version: rel.Version()})
-		return rel.RenameColumns(func(c string) string { return rel.Name() + "." + c })
+		if err := sess.SetRange(relName, relName); err != nil {
+			return err
+		}
+		deps = append(deps, matDep{name: relName, rel: rel, version: rel.Version()})
+		joinedRels[strings.ToLower(relName)] = true
+		for _, c := range rel.Schema().Columns() {
+			name := rel.Name() + "." + c.Name
+			st.Target = append(st.Target, quel.Target{As: name, Col: quel.ColRef{Var: relName, Attr: c.Name}})
+			colFor[rules.Attr(relName, c.Name).Key()] = name
+		}
+		return nil
 	}
-
-	joined, err := qualify(r.Name)
-	if err != nil {
+	if err := add(r.Name); err != nil {
 		return nil, err
 	}
-	colFor := map[string]string{}
-	record := func(relName string, schemaOf *relation.Relation) {
-		for _, c := range schemaOf.Schema().Columns() {
-			attr := strings.TrimPrefix(c.Name, relName+".")
-			colFor[rules.Attr(relName, attr).Key()] = c.Name
-		}
-	}
-	record(r.Name, joined)
-
-	joinedRels := map[string]bool{strings.ToLower(r.Name): true}
 	var attach func(link dict.Link) error
 	attach = func(link dict.Link) error {
 		target := link.To.Relation
 		if joinedRels[strings.ToLower(target)] {
 			return nil
 		}
-		q, err := qualify(target)
-		if err != nil {
+		if err := add(target); err != nil {
 			return err
 		}
-		j, err := joined.Join(q,
-			relation.JoinOn{
-				Left:  link.From.Relation + "." + link.From.Attribute,
-				Right: target + "." + link.To.Attribute,
-			})
-		if err != nil {
-			return err
-		}
-		joined = j
-		joinedRels[strings.ToLower(target)] = true
-		record(target, q)
+		where.Terms = append(where.Terms, &quel.BinExpr{Op: "=",
+			L: quel.ColOperand{Col: quel.ColRef{Var: link.From.Relation, Attr: link.From.Attribute}},
+			R: quel.ColOperand{Col: quel.ColRef{Var: target, Attr: link.To.Attribute}},
+		})
 		// Climb hierarchy levels above the newly attached entity.
 		if up, ok := in.d.LevelAbove(target); ok {
 			return attach(up)
@@ -522,6 +525,15 @@ func (in *Inducer) buildJoin(r *dict.Relationship) (*materialised, error) {
 			return nil, err
 		}
 	}
+	rp, err := sess.PlanRetrieve(st)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := exec.Collect(ctx, rp.Stream(), 0)
+	if err != nil {
+		return nil, err
+	}
+	joined := relation.FromRows(r.Name, rp.Schema(), rows)
 	return &materialised{joined: joined, colFor: colFor, deps: deps}, nil
 }
 
@@ -541,7 +553,7 @@ func (in *Inducer) InduceAll() (*rules.Set, error) {
 // InduceAllContext is InduceAll with a deadline, threaded through every
 // pair's induction statements.
 func (in *Inducer) InduceAllContext(ctx context.Context) (*rules.Set, error) {
-	pairs, err := in.CandidatePairs()
+	pairs, err := in.CandidatePairs(ctx)
 	if err != nil {
 		return nil, err
 	}

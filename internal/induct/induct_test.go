@@ -1,6 +1,7 @@
 package induct
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -281,7 +282,7 @@ func TestNcFraction(t *testing.T) {
 
 func TestCandidatePairsShape(t *testing.T) {
 	in := shipInducer(t, Options{})
-	pairs, err := in.CandidatePairs()
+	pairs, err := in.CandidatePairs(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestCandidatePairsShape(t *testing.T) {
 // rule is satisfied by every tuple of its source (no counterexamples).
 func TestInducedRulesSound(t *testing.T) {
 	in := shipInducer(t, Options{Nc: 1})
-	pairs, err := in.CandidatePairs()
+	pairs, err := in.CandidatePairs(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package quel
 
 import (
 	"fmt"
+	"strings"
 
 	"intensional/internal/exec"
 	"intensional/internal/plan"
@@ -27,6 +28,29 @@ type rowValueFn func(relation.Tuple) relation.Value
 func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
 	switch e := e.(type) {
 	case *BinExpr:
+		// Column against constant, the common selection, reads the cell
+		// directly instead of through two operand closures.
+		op, col, k := e.Op, e.L, e.R
+		if _, ok := col.(ConstOperand); ok {
+			op, col, k = relation.FlipOp(e.Op), e.R, e.L
+		}
+		c, isCol := col.(ColOperand)
+		v, isConst := k.(ConstOperand)
+		if isCol && isConst {
+			off, err := p.colOffset(c.Col, offs)
+			if err != nil {
+				return nil, err
+			}
+			holds, err := relation.CompareOp(op)
+			if err != nil {
+				return nil, err
+			}
+			val := v.Val
+			return func(t relation.Tuple) bool {
+				n, err := t[off].Compare(val)
+				return err == nil && holds(n)
+			}, nil
+		}
 		l, err := p.compileRowOperand(e.L, offs)
 		if err != nil {
 			return nil, err
@@ -88,17 +112,35 @@ func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
 	}
 }
 
+// CompileQual compiles a qualification over the single range variable v,
+// ranging over rel, into a predicate over rel's own rows — the
+// qualification compiler every retrieve uses, exported for callers that
+// scan a relation themselves (SQL DELETE and UPDATE).
+func CompileQual(v string, rel *relation.Relation, e Expr) (exec.Pred, error) {
+	p := &planner{vars: []string{v}, varIdx: map[string]int{strings.ToLower(v): 0}, rels: []*relation.Relation{rel}}
+	return p.compileRow(e, []int{0})
+}
+
+// colOffset resolves a column reference to its position in the
+// concatenated pipeline row.
+func (p *planner) colOffset(c ColRef, offs []int) (int, error) {
+	slot, ai, err := p.colSlot(c)
+	if err != nil {
+		return 0, err
+	}
+	if offs[slot] < 0 {
+		return 0, fmt.Errorf("quel: internal: %s read before its variable is bound in the pipeline", c)
+	}
+	return offs[slot] + ai, nil
+}
+
 func (p *planner) compileRowOperand(o Operand, offs []int) (rowValueFn, error) {
 	switch o := o.(type) {
 	case ColOperand:
-		slot, ai, err := p.colSlot(o.Col)
+		off, err := p.colOffset(o.Col, offs)
 		if err != nil {
 			return nil, err
 		}
-		if offs[slot] < 0 {
-			return nil, fmt.Errorf("quel: internal: %s read before its variable is bound in the pipeline", o.Col)
-		}
-		off := offs[slot] + ai
 		return func(t relation.Tuple) relation.Value { return t[off] }, nil
 	case ConstOperand:
 		v := o.Val

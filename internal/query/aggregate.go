@@ -17,7 +17,7 @@ import (
 // and grouped aggregates are the classic summarised form. The base rows
 // are produced by a prepared QUEL retrieve (or, when the semantic
 // optimizer proved the input empty, by no retrieve at all); grouping and
-// accumulation happen in run.
+// accumulation happen in runContext.
 type aggPlan struct {
 	sel *sqlparse.Select
 	// rp produces the base rows; nil when the input is provably empty,
@@ -36,6 +36,10 @@ type aggPlan struct {
 	// source).
 	items []exec.AggItem
 	node  *plan.Aggregate
+	// sortNode and sorts order the groups for a grouped ORDER BY; nil
+	// without one.
+	sortNode *plan.Sort
+	sorts    []exec.SortSpec
 }
 
 // prepareAggregate validates the aggregate query, plans the base
@@ -211,16 +215,40 @@ func (p *Processor) prepareAggregate(b *binder, sel *sqlparse.Select, where quel
 		Cols:    planColumns(ap.outSchema),
 		Input:   input,
 	}
+
+	// A grouped ORDER BY names output columns by label; it sorts the
+	// groups the Aggregate emits.
+	if len(sel.OrderBy) > 0 {
+		keys := make([]string, len(sel.OrderBy))
+		for i, o := range sel.OrderBy {
+			ci, ok := ap.outSchema.Index(o.Col.Column)
+			if !ok {
+				return nil, fmt.Errorf("query: ORDER BY %s: not an output column of the grouped query", o.Col.Column)
+			}
+			keys[i] = ap.outSchema.Col(ci).Name
+			if o.Desc {
+				keys[i] += " desc"
+			}
+			ap.sorts = append(ap.sorts, exec.SortSpec{Col: ci, Desc: o.Desc})
+		}
+		ap.sortNode = &plan.Sort{Keys: keys, Input: ap.node}
+	}
 	return ap, nil
 }
 
-// describe renders the aggregate plan tree — the node object the
-// streaming Aggregate operator executes.
-func (ap *aggPlan) describe() plan.Node { return ap.node }
+// describe renders the aggregate plan tree — the node objects the
+// streaming operators execute.
+func (ap *aggPlan) describe() plan.Node {
+	if ap.sortNode != nil {
+		return ap.sortNode
+	}
+	return ap.node
+}
 
 // runContext executes the prepared aggregate through the streaming
 // pipeline: the base retrieve streams into an Aggregate operator, which
-// materializes only the per-group accumulators.
+// materializes only the per-group accumulators, and a grouped ORDER BY
+// sorts the groups.
 func (ap *aggPlan) runContext(ctx context.Context) (*relation.Relation, error) {
 	var src exec.Operator
 	if ap.rp == nil {
@@ -228,29 +256,13 @@ func (ap *aggPlan) runContext(ctx context.Context) (*relation.Relation, error) {
 	} else {
 		src = ap.rp.Stream()
 	}
-	agg := exec.NewAggregate(ap.node, ap.outSchema, ap.groupPos, ap.items, src)
-	rows, err := exec.Collect(ctx, agg, ap.node.Est)
+	var op exec.Operator = exec.NewAggregate(ap.node, ap.outSchema, ap.groupPos, ap.items, src)
+	if ap.sortNode != nil {
+		op = exec.NewSort(ap.sortNode, ap.sorts, op)
+	}
+	rows, err := exec.Collect(ctx, op, ap.node.Est)
 	if err != nil {
 		return nil, err
 	}
-	out := relation.FromRows("result", ap.outSchema, rows)
-	return ap.orderBy(out)
-}
-
-// orderBy applies the statement's ORDER BY over the (small, grouped)
-// output columns by label.
-func (ap *aggPlan) orderBy(out *relation.Relation) (*relation.Relation, error) {
-	sel := ap.sel
-	if len(sel.OrderBy) == 0 {
-		return out, nil
-	}
-	keys := make([]relation.SortKey, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		name := o.Col.Column
-		if _, ok := out.Schema().Index(name); !ok {
-			return nil, fmt.Errorf("query: ORDER BY %s: not an output column of the grouped query", name)
-		}
-		keys[i] = relation.SortKey{Column: name, Desc: o.Desc}
-	}
-	return out.Sort(keys...)
+	return relation.FromRows("result", ap.outSchema, rows), nil
 }

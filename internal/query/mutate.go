@@ -9,8 +9,9 @@ package query
 
 import (
 	"fmt"
-	"strings"
 
+	"intensional/internal/exec"
+	"intensional/internal/quel"
 	"intensional/internal/relation"
 	"intensional/internal/sqlparse"
 	"intensional/internal/storage"
@@ -120,12 +121,9 @@ func applyDelete(cat *storage.Catalog, st *sqlparse.Delete) (*Mutation, error) {
 	clone := rel.Clone()
 	m := &Mutation{Kind: "delete", Table: clone.Name(), Schema: clone.Schema()}
 
-	pred := func(relation.Tuple) bool { return true }
-	if st.Where != nil {
-		pred, err = compilePred(clone.Schema(), clone.Name(), st.Where)
-		if err != nil {
-			return nil, err
-		}
+	pred, err := wherePred(cat, clone, st.Table, st.Where)
+	if err != nil {
+		return nil, err
 	}
 	var deleted []relation.Tuple
 	for _, t := range clone.Rows() {
@@ -134,7 +132,7 @@ func applyDelete(cat *storage.Catalog, st *sqlparse.Delete) (*Mutation, error) {
 		}
 	}
 	m.Deleted = deleted
-	clone.Delete(pred)
+	clone.Delete(relation.Predicate(pred))
 	cat.Put(clone)
 	return m, nil
 }
@@ -172,12 +170,9 @@ func applyUpdate(cat *storage.Catalog, st *sqlparse.Update) (*Mutation, error) {
 		assigns[i] = binding{col: ci, val: a.Val.Val}
 	}
 
-	pred := func(relation.Tuple) bool { return true }
-	if st.Where != nil {
-		pred, err = compilePred(schema, clone.Name(), st.Where)
-		if err != nil {
-			return nil, err
-		}
+	pred, err := wherePred(cat, clone, st.Table, st.Where)
+	if err != nil {
+		return nil, err
 	}
 	var inserted, deleted []relation.Tuple
 	for i := 0; i < clone.Len(); i++ {
@@ -198,95 +193,23 @@ func applyUpdate(cat *storage.Catalog, st *sqlparse.Update) (*Mutation, error) {
 	return m, nil
 }
 
-// compilePred lowers a single-table WHERE expression onto a relation
-// predicate. Column references may be unqualified or qualified with the
-// statement's table name; comparisons against NULL are never satisfied,
-// matching the executor's comparison semantics.
-func compilePred(schema *relation.Schema, table string, e sqlparse.Expr) (relation.Predicate, error) {
-	switch e := e.(type) {
-	case *sqlparse.Compare:
-		return compileCompare(schema, table, e)
-	case *sqlparse.And:
-		preds := make([]relation.Predicate, len(e.Terms))
-		for i, t := range e.Terms {
-			p, err := compilePred(schema, table, t)
-			if err != nil {
-				return nil, err
-			}
-			preds[i] = p
-		}
-		return relation.And(preds...), nil
-	case *sqlparse.Or:
-		preds := make([]relation.Predicate, len(e.Terms))
-		for i, t := range e.Terms {
-			p, err := compilePred(schema, table, t)
-			if err != nil {
-				return nil, err
-			}
-			preds[i] = p
-		}
-		return relation.Or(preds...), nil
-	case *sqlparse.Not:
-		p, err := compilePred(schema, table, e.Term)
-		if err != nil {
-			return nil, err
-		}
-		return relation.Not(p), nil
-	default:
-		return nil, fmt.Errorf("query: unsupported expression %T", e)
+// wherePred compiles a DELETE or UPDATE WHERE clause with the binder,
+// lowering and qualification compiler SELECT uses, so a mutation and
+// SELECT ... WHERE with the same condition select the same rows. The
+// statement still scans the whole relation: planning an access path
+// would build an index the write immediately invalidates. A nil clause
+// selects every row.
+func wherePred(cat *storage.Catalog, rel *relation.Relation, table string, where sqlparse.Expr) (exec.Pred, error) {
+	if where == nil {
+		return func(relation.Tuple) bool { return true }, nil
 	}
-}
-
-func compileCompare(schema *relation.Schema, table string, cmp *sqlparse.Compare) (relation.Predicate, error) {
-	resolveCol := func(c sqlparse.Col) (int, error) {
-		if c.Table != "" && !strings.EqualFold(c.Table, table) {
-			return 0, fmt.Errorf("query: unknown table %q in single-table mutation over %s", c.Table, table)
-		}
-		ci, ok := schema.Index(c.Column)
-		if !ok {
-			return 0, fmt.Errorf("query: table %s has no column %q", table, c.Column)
-		}
-		return ci, nil
-	}
-	lc, lIsCol := cmp.L.(sqlparse.Col)
-	rc, rIsCol := cmp.R.(sqlparse.Col)
-	ll, lIsLit := cmp.L.(sqlparse.Lit)
-	rl, rIsLit := cmp.R.(sqlparse.Lit)
-	holds, err := relation.CompareOp(cmp.Op)
+	b, err := newBinder(cat, []sqlparse.TableRef{{Table: table}})
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case lIsCol && rIsLit:
-		ci, err := resolveCol(lc)
-		if err != nil {
-			return nil, err
-		}
-		return relation.Cmp(schema, schema.Col(ci).Name, cmp.Op, rl.Val)
-	case rIsCol && lIsLit:
-		ci, err := resolveCol(rc)
-		if err != nil {
-			return nil, err
-		}
-		return relation.Cmp(schema, schema.Col(ci).Name, relation.FlipOp(cmp.Op), ll.Val)
-	case lIsCol && rIsCol:
-		li, err := resolveCol(lc)
-		if err != nil {
-			return nil, err
-		}
-		ri, err := resolveCol(rc)
-		if err != nil {
-			return nil, err
-		}
-		return func(t relation.Tuple) bool {
-			c, err := t[li].Compare(t[ri])
-			return err == nil && holds(c)
-		}, nil
-	case lIsLit && rIsLit:
-		c, err := ll.Val.Compare(rl.Val)
-		hold := err == nil && holds(c)
-		return func(relation.Tuple) bool { return hold }, nil
-	default:
-		return nil, fmt.Errorf("query: unsupported comparison %s", cmp)
+	e, err := lowerExpr(b, where)
+	if err != nil {
+		return nil, err
 	}
+	return quel.CompileQual(table, rel, e)
 }

@@ -39,7 +39,7 @@ func TestSchemaDuplicateAndEmpty(t *testing.T) {
 	}
 }
 
-func TestSchemaEqualAndProject(t *testing.T) {
+func TestSchemaEqual(t *testing.T) {
 	s := subSchema(t)
 	s2 := MustSchema(
 		Column{Name: "id", Type: TString},
@@ -48,16 +48,6 @@ func TestSchemaEqualAndProject(t *testing.T) {
 	)
 	if !s.Equal(s2) {
 		t.Error("schemas differing only in case should be Equal")
-	}
-	p, idx, err := s.Project("Class", "Id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 || idx[0] != 2 || idx[1] != 0 {
-		t.Errorf("Project: schema %s, idx %v", p, idx)
-	}
-	if _, _, err := s.Project("missing"); err == nil {
-		t.Error("Project of a missing column should error")
 	}
 }
 

@@ -119,26 +119,6 @@ func (s *Schema) Equal(t *Schema) bool {
 	return true
 }
 
-// Project returns a new schema containing the named columns in the given
-// order, along with the source index of each.
-func (s *Schema) Project(names ...string) (*Schema, []int, error) {
-	cols := make([]Column, 0, len(names))
-	idx := make([]int, 0, len(names))
-	for _, name := range names {
-		i, ok := s.Index(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("relation: no column %q in schema %s", name, s)
-		}
-		cols = append(cols, s.cols[i])
-		idx = append(idx, i)
-	}
-	out, err := NewSchema(cols...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, idx, nil
-}
-
 // Rename returns a copy of the schema with every column name passed
 // through f. Useful for qualifying columns before a join.
 func (s *Schema) Rename(f func(string) string) (*Schema, error) {

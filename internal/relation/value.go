@@ -1,10 +1,11 @@
-// Package relation implements the in-memory relational substrate the
-// intensional query processing system is built on: typed values with a
-// total order, schemas, tuples, relations, and the relational operators
-// (select, project, join, sort, unique, delete, set operations) that the
-// paper's Rule Induction Algorithm and query processor are expressed in.
-//
-// The substrate plays the role INGRES played for the original prototype.
+// Package relation implements the in-memory data type the intensional
+// query processing system is built on: typed values with a total order,
+// schemas, tuples, relations with insert, delete and copy-on-write
+// update, and secondary indexes. The relational operators themselves —
+// selection, projection, join, sort, distinct, aggregation — live in one
+// place, the streaming executor (internal/exec) that QUEL plans feed;
+// the paper's Rule Induction Algorithm and the query processor both run
+// there, as they ran on one INGRES in the original prototype.
 package relation
 
 import (

@@ -203,6 +203,12 @@ func (n *Node) Apply(cfg *cluster.Config) error {
 //
 //ilint:locked mu
 func (n *Node) promoteLocked() error {
+	// A follower still owing its first bootstrap has neither installed a
+	// snapshot nor replayed a local WAL: its catalog is not the cluster's
+	// state, and it must not lead.
+	if n.follower.needBoot.Load() {
+		return fmt.Errorf("replica: promote %s: no base state yet — neither a snapshot installed nor a local WAL replayed", n.opts.ID)
+	}
 	n.follower.Stop()
 	if err := n.drainLocked(); err != nil {
 		// Cannot safely lead yet; keep replicating and let the caller
@@ -264,10 +270,11 @@ func (n *Node) drainLocked() error {
 //
 //ilint:locked mu
 func (n *Node) demoteLocked(lead cluster.Node) error {
-	if err := n.fence(lead); err != nil {
+	seq, err := n.fence(lead)
+	if err != nil {
 		return fmt.Errorf("replica: refusing to demote %s: %w", n.opts.ID, err)
 	}
-	if err := n.sys.Demote(); err != nil {
+	if err := n.sys.Demote(seq); err != nil {
 		return fmt.Errorf("replica: demote %s: %w", n.opts.ID, err)
 	}
 	o := n.opts.Follower
@@ -293,34 +300,50 @@ func (n *Node) demoteLocked(lead cluster.Node) error {
 
 // fence decides whether stepping down for the named successor is safe:
 // every committed record must be acknowledged by it. The fan-out table
-// knows, because a follower's poll position is its acknowledgement.
-func (n *Node) fence(lead cluster.Node) error {
+// knows, because a follower's poll position is its acknowledgement. A
+// successor that has never streamed from this node is refused even when
+// nothing is committed: this node's base state reaches it only through
+// a bootstrap, which its first poll follows. fence returns the sequence
+// it checked, for Demote to hold the commit point to.
+func (n *Node) fence(lead cluster.Node) (uint64, error) {
 	cur := n.sys.WalSeq()
-	if cur == 0 {
-		return nil // nothing committed, nothing to strand
-	}
 	acked, ok := n.tracker.AckedSeq(lead.ID)
 	if !ok {
-		return fmt.Errorf("successor %q has never streamed from this node", lead.ID)
+		return 0, fmt.Errorf("successor %q has never streamed from this node", lead.ID)
 	}
 	if acked < cur {
-		return fmt.Errorf("successor %q acknowledged seq %d but this node committed %d — %d unreplicated record(s)",
+		return 0, fmt.Errorf("successor %q acknowledged seq %d but this node committed %d — %d unreplicated record(s)",
 			lead.ID, acked, cur, cur-acked)
 	}
-	return nil
+	return cur, nil
 }
 
-// Watch applies configuration changes from the store until stop closes.
-// A rejected configuration (most often the demotion fence waiting for
-// the successor's final poll) is retried every ApplyRetryInterval until
-// it applies or a newer configuration replaces it.
+// Watch applies the store's current configuration, then every change,
+// until stop closes. The store only delivers changes made after the
+// subscription, so a configuration installed between the node's start
+// and this call is read with Load instead of being missed. A rejected
+// configuration (most often the demotion fence waiting for the
+// successor's final poll) is retried every ApplyRetryInterval until it
+// applies or a newer configuration replaces it.
 func (n *Node) Watch(stop <-chan struct{}, store cluster.WatchableStore) {
 	ch := store.Watch(stop)
 	ticker := time.NewTicker(n.opts.ApplyRetryInterval)
 	defer ticker.Stop()
-	var pending *cluster.Config
+	pending, _ := store.Load() //ilint:allow errdrop — an invalid stored configuration is skipped, as a watcher skips one
 	var lastErr string
 	for {
+		if pending != nil {
+			if err := n.Apply(pending); err != nil {
+				// Log each distinct reason once, not once per retry tick.
+				if err.Error() != lastErr {
+					lastErr = err.Error()
+					n.opts.Logf("cluster: configuration not applied: %v (retrying)", err)
+				}
+			} else {
+				pending = nil
+				lastErr = ""
+			}
+		}
 		select {
 		case cfg, ok := <-ch:
 			if !ok {
@@ -329,21 +352,8 @@ func (n *Node) Watch(stop <-chan struct{}, store cluster.WatchableStore) {
 			pending = cfg
 			lastErr = ""
 		case <-ticker.C:
-			if pending == nil {
-				continue
-			}
 		case <-stop:
 			return
 		}
-		if err := n.Apply(pending); err != nil {
-			// Log each distinct reason once, not once per retry tick.
-			if err.Error() != lastErr {
-				lastErr = err.Error()
-				n.opts.Logf("cluster: configuration not applied: %v (retrying)", err)
-			}
-			continue
-		}
-		pending = nil
-		lastErr = ""
 	}
 }

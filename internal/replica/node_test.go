@@ -12,6 +12,7 @@ import (
 	"intensional/internal/cluster"
 	"intensional/internal/core"
 	"intensional/internal/replica"
+	"intensional/internal/shipdb"
 )
 
 // testNode is one process of a two-node cluster under test: its system,
@@ -188,6 +189,99 @@ func TestDemotionFenceBlocksUnreplicatedRecords(t *testing.T) {
 	}
 }
 
+// seqZeroLeader opens a durable ship leader that has committed nothing:
+// its whole state is the fixture it was opened from, at WAL seq 0.
+func seqZeroLeader(t *testing.T) *core.System {
+	t.Helper()
+	cat := shipdb.Catalog()
+	d, err := shipdb.Dictionary(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir() + "/leader"
+	if err := core.New(cat, d).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.OpenDurable(dir, core.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if s.WalSeq() != 0 {
+		t.Fatalf("fixture leader at seq %d, want 0", s.WalSeq())
+	}
+	return s
+}
+
+// deadAddr returns the URL of a server that has already shut down.
+func deadAddr(t *testing.T) string {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	srv.Close()
+	return srv.URL
+}
+
+// TestDemotionFenceRefusesUnseenSuccessor: a leader with nothing
+// committed still holds a base state (its fixture) that reaches a
+// successor only through a bootstrap, so it must not step down for a
+// successor that has never streamed from it.
+func TestDemotionFenceRefusesUnseenSuccessor(t *testing.T) {
+	sys := seqZeroLeader(t)
+	node, err := replica.NewNode(sys, replica.NewLeader(sys, replica.LeaderOptions{}), nil, replica.NodeOptions{
+		ID:       "a",
+		Follower: replica.Options{Dir: t.TempDir() + "/a-follow", Leader: "placeholder"},
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	cfg := &cluster.Config{Nodes: []cluster.Node{
+		{ID: "a", Addr: "http://127.0.0.1:1", Role: cluster.RoleFollower},
+		{ID: "b", Addr: deadAddr(t), Role: cluster.RoleLeader},
+	}}
+	if err := node.Apply(cfg); err == nil || !strings.Contains(err.Error(), "never streamed") {
+		t.Fatalf("demotion at seq 0 for an unseen successor: %v, want the fence", err)
+	}
+	if node.Role() != cluster.RoleLeader || sys.Follower() {
+		t.Fatal("a refused demotion changed the node's role")
+	}
+}
+
+// TestPromoteRefusesWithoutBaseState: a follower that has neither
+// installed a snapshot nor replayed a local WAL holds an empty catalog,
+// and promoting it would serve that emptiness as the cluster's state.
+func TestPromoteRefusesWithoutBaseState(t *testing.T) {
+	f, err := replica.Open(replica.Options{
+		Dir:       t.TempDir() + "/b",
+		Leader:    deadAddr(t),
+		NodeID:    "b",
+		RetryBase: 2 * time.Millisecond,
+		RetryMax:  10 * time.Millisecond,
+		Logf:      t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.System().Close() })
+	f.Start()
+	node, err := replica.NewNode(f.System(), replica.NewLeader(f.System(), replica.LeaderOptions{}), f,
+		replica.NodeOptions{ID: "b", Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	cfg := &cluster.Config{Nodes: []cluster.Node{
+		{ID: "a", Addr: f.LeaderAddr(), Role: cluster.RoleFollower},
+		{ID: "b", Addr: "http://127.0.0.1:1", Role: cluster.RoleLeader},
+	}}
+	if err := node.Apply(cfg); err == nil || !strings.Contains(err.Error(), "no base state") {
+		t.Fatalf("promotion before the first bootstrap: %v, want a refusal", err)
+	}
+	if node.Role() != cluster.RoleFollower || !f.System().Follower() {
+		t.Fatal("a refused promotion changed the node's role")
+	}
+}
+
 func TestNodeRejectsForeignConfiguration(t *testing.T) {
 	a, b := newHandoverCluster(t, nil)
 	cfg := &cluster.Config{Nodes: []cluster.Node{
@@ -202,6 +296,26 @@ func TestNodeRejectsForeignConfiguration(t *testing.T) {
 	if a.node.Role() != cluster.RoleLeader || b.node.Role() != cluster.RoleFollower {
 		t.Fatal("rejected configurations changed roles")
 	}
+}
+
+// TestWatchAppliesConfigurationSetBeforeSubscription: the store only
+// delivers changes made after Watch subscribes, so a handover installed
+// just before the watchers start must still be applied — read from the
+// store, not waited for.
+func TestWatchAppliesConfigurationSetBeforeSubscription(t *testing.T) {
+	a, b := newHandoverCluster(t, nil)
+	store := cluster.NewMemStore(handoverConfig(a, b, "a"))
+	store.Set(handoverConfig(a, b, "b"))
+	stop := make(chan struct{})
+	defer close(stop)
+	go a.node.Watch(stop, store)
+	go b.node.Watch(stop, store)
+	waitFor(t, 20*time.Second,
+		func() bool { return a.node.Role() == cluster.RoleFollower && b.node.Role() == cluster.RoleLeader },
+		func() string {
+			return fmt.Sprintf("handover set before the watchers started never applied (a=%s b=%s)",
+				a.node.Role(), b.node.Role())
+		})
 }
 
 func TestWatchDrivenHandover(t *testing.T) {

@@ -29,7 +29,7 @@ func TestCatalogMatchesAppendixC(t *testing.T) {
 		}
 	}
 	cls, _ := cat.Get(shipdb.Class)
-	p, err := relation.Eq(cls.Schema(), "Class", relation.String("1301"))
+	p, err := relation.Cmp(cls.Schema(), "Class", "=", relation.String("1301"))
 	if err != nil {
 		t.Fatal(err)
 	}
