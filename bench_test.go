@@ -129,14 +129,14 @@ func benchInfer(b *testing.B, sql string) {
 		b.Fatal(err)
 	}
 	d.SetRules(set)
-	_, an, err := query.New(d.Catalog()).Run(sql)
+	prep, err := query.New(d.Catalog(), nil, nil).Prepare(sql, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := infer.New(d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Derive(an); err != nil {
+		if _, err := p.Derive(prep.Analysis); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,12 +186,23 @@ func BenchmarkInferScaling(b *testing.B) {
 	}
 }
 
+// runSQL prepares sql as written and executes it: the whole extensional
+// path.
+func runSQL(q *query.Processor, sql string) error {
+	prep, err := q.Prepare(sql, nil)
+	if err != nil {
+		return err
+	}
+	_, err = prep.Run()
+	return err
+}
+
 // benchQuery measures extensional query processing alone.
 func benchQuery(b *testing.B, sql string) {
-	q := query.New(shipdb.Catalog())
+	q := query.New(shipdb.Catalog(), nil, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := q.Run(sql); err != nil {
+		if err := runSQL(q, sql); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,16 +309,10 @@ func BenchmarkJoinStrategy(b *testing.B) {
 				})
 			}
 		}
+		ranges := map[string]string{"l": "L", "r": "R"}
 		b.Run(fmt.Sprintf("hash/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sess := quel.NewSession(cat)
-				if err := sess.SetRange("L", "L"); err != nil {
-					b.Fatal(err)
-				}
-				if err := sess.SetRange("R", "R"); err != nil {
-					b.Fatal(err)
-				}
-				rp, err := sess.PlanRetrieve(st)
+				rp, err := quel.NewPlanner(cat, nil, nil).PlanRetrieve(st, ranges)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -371,12 +376,12 @@ func BenchmarkInduceComparisons(b *testing.B) {
 // BenchmarkAggregateQuery measures the summarised-answer path (grouped
 // aggregates over the joined ship data).
 func BenchmarkAggregateQuery(b *testing.B) {
-	q := query.New(shipdb.Catalog())
+	q := query.New(shipdb.Catalog(), nil, nil)
 	const sql = `SELECT CLASS.Type, COUNT(*), MIN(Displacement), MAX(Displacement)
 		FROM SUBMARINE, CLASS WHERE SUBMARINE.Class = CLASS.Class GROUP BY CLASS.Type`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := q.Run(sql); err != nil {
+		if err := runSQL(q, sql); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -408,7 +413,7 @@ func BenchmarkQueryStreaming(b *testing.B) {
 	mk("C", "K", "W", 11)
 	const sql = `SELECT A.K, C.W FROM A, B, C
 		WHERE A.K = B.K AND B.K = C.K AND A.G = B.V`
-	prep, err := query.New(cat).Prepare(sql, nil)
+	prep, err := query.New(cat, nil, nil).Prepare(sql, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -443,7 +448,7 @@ func BenchmarkIndexedSelection(b *testing.B) {
 		r.MustInsert(relation.Int(int64(i)))
 	}
 	b.Run("indexed", func(b *testing.B) {
-		sess := quel.NewSession(cat)
+		sess := quel.NewSession(quel.NewPlanner(cat, nil, nil))
 		if _, err := sess.Exec("range of r is BIG"); err != nil {
 			b.Fatal(err)
 		}
@@ -523,7 +528,7 @@ func BenchmarkPreparedHit(b *testing.B) {
 // against: full parse, binding, analysis, and planning on every
 // iteration, with no plan cache.
 func BenchmarkPreparedCold(b *testing.B) {
-	q := query.New(shipdb.Catalog())
+	q := query.New(shipdb.Catalog(), nil, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := q.Prepare(example1SQL, nil); err != nil {

@@ -30,7 +30,7 @@ func baselineSetup(t *testing.T, opts baseline.Options) (*dict.Dictionary, *quer
 		t.Fatal(err)
 	}
 	d.SetRules(set)
-	return d, query.New(cat)
+	return d, query.New(cat, nil, nil)
 }
 
 func TestConstraintOnlyRuleSet(t *testing.T) {
@@ -65,12 +65,12 @@ func TestWithStructureRules(t *testing.T) {
 // rule covers displacement), while induced rules derive Type = SSBN.
 func TestExample1BaselineWeaker(t *testing.T) {
 	d, q := baselineSetup(t, baseline.Options{})
-	_, an, err := q.Run(`SELECT SUBMARINE.ID FROM SUBMARINE, CLASS
-		WHERE SUBMARINE.CLASS = CLASS.CLASS AND CLASS.DISPLACEMENT > 8000`)
+	prep, err := q.Prepare(`SELECT SUBMARINE.ID FROM SUBMARINE, CLASS
+		WHERE SUBMARINE.CLASS = CLASS.CLASS AND CLASS.DISPLACEMENT > 8000`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := infer.New(d).Derive(an)
+	res, err := infer.New(d).Derive(prep.Analysis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,12 @@ func TestExample1BaselineWeaker(t *testing.T) {
 // gives Example 2 the same backward description the induced R5 gives.
 func TestExample2BaselineEquivalent(t *testing.T) {
 	d, q := baselineSetup(t, baseline.Options{})
-	_, an, err := q.Run(`SELECT SUBMARINE.NAME, SUBMARINE.CLASS FROM SUBMARINE, CLASS
-		WHERE SUBMARINE.CLASS = CLASS.CLASS AND CLASS.TYPE = "SSBN"`)
+	prep, err := q.Prepare(`SELECT SUBMARINE.NAME, SUBMARINE.CLASS FROM SUBMARINE, CLASS
+		WHERE SUBMARINE.CLASS = CLASS.CLASS AND CLASS.TYPE = "SSBN"`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := infer.New(d).Derive(an)
+	res, err := infer.New(d).Derive(prep.Analysis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +108,13 @@ func TestExample2BaselineEquivalent(t *testing.T) {
 // rule "y.Sonar = BQS-04 then x isa SSN" fires forward for Example 3.
 func TestExample3BaselineWithStructureRules(t *testing.T) {
 	d, q := baselineSetup(t, baseline.Options{IncludeStructureRules: true})
-	_, an, err := q.Run(`SELECT SUBMARINE.NAME FROM SUBMARINE, CLASS, INSTALL
+	prep, err := q.Prepare(`SELECT SUBMARINE.NAME FROM SUBMARINE, CLASS, INSTALL
 		WHERE SUBMARINE.CLASS = CLASS.CLASS AND SUBMARINE.ID = INSTALL.SHIP
-		AND INSTALL.SONAR = "BQS-04"`)
+		AND INSTALL.SONAR = "BQS-04"`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := infer.New(d).Derive(an)
+	res, err := infer.New(d).Derive(prep.Analysis)
 	if err != nil {
 		t.Fatal(err)
 	}

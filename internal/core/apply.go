@@ -191,7 +191,7 @@ func OpenDurable(dir string, o DurableOptions) (*System, error) {
 		// Restamp the base snapshot with the version the checkpoint
 		// recorded, so version numbers stay monotone across restarts and
 		// a follower replaying this log lands on the leader's numbers.
-		s.install(newSnapshot(savedVersion, cur.cat, cur.d))
+		s.install(newSnapshot(savedVersion, cur.cat, cur.d, s.counters))
 	}
 	log, entries, err := wal.OpenFS(s.fs, walPath(dir))
 	if err != nil {
@@ -389,7 +389,7 @@ func applyParsed(cur *snapshot, parsed []sqlparse.Stmt) (*snapshot, []*query.Mut
 		return nil, nil, fmt.Errorf("core: rebuild dictionary: %w", err)
 	}
 	d.SetRules(st.Serving(cur.full))
-	sn := newSnapshot(cur.version+1, workCat, d)
+	sn := newSnapshot(cur.version+1, workCat, d, cur.counters)
 	sn.full = cur.full
 	sn.maint = st
 	return sn, muts, nil
@@ -603,7 +603,7 @@ func (s *System) Maintain(ctx context.Context, opts induct.Options) (*MaintainRe
 				return nil, err
 			}
 		}
-		sn := newSnapshot(cur.version+1, cat, d)
+		sn := newSnapshot(cur.version+1, cat, d, s.counters)
 		sn.full = merged
 		sn.maint = maintain.NewState()
 		s.install(sn)

@@ -44,6 +44,9 @@ func TestExplainReturnsPlan(t *testing.T) {
 		{sql: `SELECT Class FROM CLASS WHERE Displacement < 2000`},
 		{sql: `SELECT Type, COUNT(*) FROM CLASS GROUP BY Type ORDER BY Type DESC`, root: "Sort", under: "Aggregate"},
 		{sql: `SELECT Type, COUNT(*) FROM CLASS GROUP BY Type ORDER BY Displacement`, wantErr: true},
+		{sql: `SELECT Type, COUNT(*) FROM CLASS c GROUP BY c.Type ORDER BY c.Type DESC`, root: "Sort", under: "Aggregate"},
+		{sql: `SELECT Type, COUNT(*) FROM CLASS GROUP BY Type ORDER BY X.Type`, wantErr: true},
+		{sql: `SELECT Type, COUNT(*) FROM CLASS c GROUP BY Type ORDER BY CLASS.Type`, wantErr: true},
 	}
 	for _, q := range queries {
 		sql := q.sql

@@ -210,7 +210,7 @@ func installRulesSnapshot(cur *snapshot, wires []relWire) (*snapshot, error) {
 	if err := d.LoadRules(); err != nil {
 		return nil, fmt.Errorf("core: replay rules: %w", err)
 	}
-	return newSnapshot(cur.version+1, cat, d), nil
+	return newSnapshot(cur.version+1, cat, d, cur.counters), nil
 }
 
 // replicate records a committed WAL record in the retention buffer and
@@ -469,7 +469,7 @@ func (s *System) InstallBootstrap(a *BootstrapArchive) error {
 			return err
 		}
 	}
-	s.install(newSnapshot(a.Version, cat, d))
+	s.install(newSnapshot(a.Version, cat, d, s.counters))
 	s.walSeq = a.Seq
 	s.replMu.Lock()
 	s.replBuf = nil

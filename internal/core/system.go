@@ -110,9 +110,9 @@ type System struct {
 
 	// Planner observability, cumulative over the system's lifetime (they
 	// deliberately survive snapshot replacement so /metrics trends are
-	// monotone): scan counters shared by every snapshot's sessions, and
+	// monotone): scan counters shared by every snapshot's planner, and
 	// prepared-statement cache outcomes.
-	counters   quel.Counters
+	counters   *quel.Counters
 	planHits   atomic.Int64
 	planMisses atomic.Int64
 }
@@ -124,8 +124,15 @@ type snapshot struct {
 	version uint64
 	cat     *storage.Catalog
 	d       *dict.Dictionary
-	q       *query.Processor
-	inf     *infer.Processor
+	// q plans and runs this snapshot's SELECTs through one planner,
+	// which owns the snapshot's secondary indexes: relations are
+	// immutable once the snapshot is published, so indexes built by one
+	// query serve all later queries on the same version.
+	q *query.Processor
+	// counters are the system's cumulative planner counters, handed on
+	// to every successor snapshot's planner.
+	counters *quel.Counters
+	inf      *infer.Processor
 	// full is the complete rule base including stale rules; the
 	// dictionary's rule set (what inference serves) is full minus the
 	// rules maint marks stale.
@@ -139,46 +146,33 @@ type snapshot struct {
 	stmts *stmtCache
 }
 
-func newSnapshot(version uint64, cat *storage.Catalog, d *dict.Dictionary) *snapshot {
-	q := query.New(cat)
-	// One shared index cache per snapshot: relations are immutable once
-	// the snapshot is published, so indexes built by one query serve all
-	// later queries on the same version.
-	q.UseIndexCache(quel.NewIndexCache())
+func newSnapshot(version uint64, cat *storage.Catalog, d *dict.Dictionary, counters *quel.Counters) *snapshot {
 	return &snapshot{
-		version: version,
-		cat:     cat,
-		d:       d,
-		q:       q,
-		inf:     infer.New(d),
-		full:    d.Rules(),
-		maint:   maintain.NewState(),
-		stmts:   newStmtCache(),
+		version:  version,
+		cat:      cat,
+		d:        d,
+		q:        query.New(cat, counters, log.Printf),
+		counters: counters,
+		inf:      infer.New(d),
+		full:     d.Rules(),
+		maint:    maintain.NewState(),
+		stmts:    newStmtCache(),
 	}
-}
-
-// wire attaches the system's cumulative planner counters and logger to a
-// snapshot's query processor. Every snapshot passes through here (New or
-// install) before it can serve a query.
-func (s *System) wire(sn *snapshot) {
-	sn.q.UseCounters(&s.counters)
-	sn.q.UseLogf(log.Printf)
 }
 
 // New assembles a system over a catalog and its dictionary. The catalog
 // and dictionary become version 1's snapshot; mutate them only before
 // the system starts serving concurrent callers.
 func New(cat *storage.Catalog, d *dict.Dictionary) *System {
-	sn := newSnapshot(1, cat, d)
-	s := &System{
-		snap:         sn,
+	counters := new(quel.Counters)
+	return &System{
+		snap:         newSnapshot(1, cat, d, counters),
 		fs:           fault.OS,
 		clock:        fault.Wall,
 		degradeAfter: defaultDegradeAfter,
 		seqCh:        make(chan struct{}),
+		counters:     counters,
 	}
-	s.wire(sn)
-	return s
 }
 
 // current returns the snapshot serving reads right now.
@@ -190,7 +184,6 @@ func (s *System) current() *snapshot {
 
 // install publishes a new snapshot; all subsequent reads see it.
 func (s *System) install(sn *snapshot) {
-	s.wire(sn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.snap = sn
@@ -262,7 +255,7 @@ func (s *System) InduceContext(ctx context.Context, opts induct.Options) (*rules
 			return nil, err
 		}
 	}
-	s.install(newSnapshot(cur.version+1, cat, d))
+	s.install(newSnapshot(cur.version+1, cat, d, s.counters))
 	if committed != nil {
 		s.replicate(s.walSeq, committed)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 
-	"intensional/internal/plan"
 	"intensional/internal/relation"
 )
 
@@ -40,7 +39,6 @@ type AggItem struct {
 // GroupBy columns, exactly one row is produced even on empty input —
 // SQL's grand-total rule.
 type Aggregate struct {
-	node    plan.Node
 	schema  *relation.Schema
 	groupBy []int
 	items   []AggItem
@@ -54,9 +52,9 @@ type Aggregate struct {
 	ready bool
 }
 
-// NewAggregate builds an aggregation executing node. groupBy lists the
-// input columns to group on; items define the output columns in order.
-func NewAggregate(node plan.Node, schema *relation.Schema, groupBy []int, items []AggItem, input Operator) *Aggregate {
+// NewAggregate builds an aggregation. groupBy lists the input columns to
+// group on; items define the output columns in order.
+func NewAggregate(schema *relation.Schema, groupBy []int, items []AggItem, input Operator) *Aggregate {
 	keyIdx := make([]int, len(items))
 	for i, it := range items {
 		keyIdx[i] = -1
@@ -70,12 +68,9 @@ func NewAggregate(node plan.Node, schema *relation.Schema, groupBy []int, items 
 			}
 		}
 	}
-	return &Aggregate{node: node, schema: schema, groupBy: groupBy, items: items,
+	return &Aggregate{schema: schema, groupBy: groupBy, items: items,
 		input: input, keyIdx: keyIdx}
 }
-
-// Plan returns the plan node this operator executes.
-func (a *Aggregate) Plan() plan.Node { return a.node }
 
 // Schema returns the aggregate output schema.
 func (a *Aggregate) Schema() *relation.Schema { return a.schema }

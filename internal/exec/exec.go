@@ -2,9 +2,11 @@
 // iterators that produces query results without materializing every
 // intermediate relation. Each operator implements the Open/Next/Close
 // contract and carries its output schema, mirroring the typed plan.Plan
-// nodes the planner builds — an operator tree is constructed directly
-// from the plan nodes it executes, so the plan EXPLAIN renders is
-// exactly the tree that runs.
+// nodes the planner builds. A Tree pairs each plan node with the factory
+// of the operator that executes it — the lowering builds both in one
+// pass, so an operator tree is constructed directly from the plan nodes
+// it executes and the plan EXPLAIN renders is exactly the tree that
+// runs.
 //
 // # Iterator contract
 //
@@ -25,7 +27,7 @@
 //
 // A consumer that stops pulling terminates the whole pipeline — no
 // operator computes rows nobody asked for, which is what makes
-// existence-style probes and LIMIT cheap. Context cancellation is
+// existence-style probes cheap. Context cancellation is
 // checked at batch boundaries (in the source operators and in Drain),
 // never per row, so cancellation costs nothing on the hot path and
 // still stops a run within one batch.
@@ -41,6 +43,7 @@ import (
 	"context"
 	"sync"
 
+	"intensional/internal/plan"
 	"intensional/internal/relation"
 )
 
@@ -72,13 +75,6 @@ func (b *Batch) Append(t relation.Tuple) { b.rows = append(b.rows, t) }
 
 // Full reports whether the batch has reached BatchSize rows.
 func (b *Batch) Full() bool { return len(b.rows) >= BatchSize }
-
-// Truncate drops every row past the first n.
-func (b *Batch) Truncate(n int) {
-	if n < len(b.rows) {
-		b.rows = b.rows[:n]
-	}
-}
 
 // batchPool recycles batch buffers across operators and runs — the hot
 // query path allocates no new batch once the pool is warm.
@@ -113,6 +109,34 @@ type Operator interface {
 	Schema() *relation.Schema
 }
 
+// Tree is the executable form of one planned statement: the root of the
+// plan tree EXPLAIN renders, paired with the factory of the operator tree
+// that executes exactly that node. Each call to New builds a fresh
+// single-use operator tree, so one Tree — immutable once built — serves
+// any number of concurrent runs.
+type Tree struct {
+	Node plan.Node
+	New  func() Operator
+}
+
+// Wrap tops t with node, whose operator op builds over a fresh instance
+// of t's operator tree. node must take t.Node as its input.
+func (t Tree) Wrap(node plan.Node, op func(input Operator) Operator) Tree {
+	input := t.New
+	return Tree{Node: node, New: func() Operator { return op(input()) }}
+}
+
+// Run executes a fresh operator tree to completion and returns its rows
+// as a relation called name.
+func (t Tree) Run(ctx context.Context, name string) (*relation.Relation, error) {
+	op := t.New()
+	rows, err := Collect(ctx, op, t.Node.EstRows())
+	if err != nil {
+		return nil, err
+	}
+	return relation.FromRows(name, op.Schema(), rows), nil
+}
+
 // Pred decides whether a row qualifies.
 type Pred func(relation.Tuple) bool
 
@@ -122,7 +146,7 @@ type KeyFn func(relation.Tuple) string
 // KeyOf returns a KeyFn over the given column positions, composing
 // each value's collision-free Key. The returned KeyFn reuses a scratch
 // buffer across calls and is therefore not safe for concurrent use —
-// build one per operator, as instantiating a tree does.
+// build one per operator, as each Tree.New call does.
 func KeyOf(cols []int) KeyFn {
 	if len(cols) == 1 {
 		// Single-column keys (the common join) need no composition: a

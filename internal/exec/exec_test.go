@@ -65,7 +65,7 @@ func (c *counting) Next(b *exec.Batch) error {
 func TestFullScanStreamsInRowOrder(t *testing.T) {
 	rel := numbers(t, "R", 3*exec.BatchSize+17, func(i int) string { return fmt.Sprint("v", i) })
 	opens := 0
-	rows := collect(t, exec.NewFullScan(nil, rel, func() { opens++ }))
+	rows := collect(t, exec.NewFullScan(rel, func() { opens++ }))
 	if opens != 1 {
 		t.Fatalf("onOpen fired %d times, want 1", opens)
 	}
@@ -86,7 +86,7 @@ func TestIndexScanServesFromIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	var indexScans, fullScans int
-	op := exec.NewIndexScan(nil, rel, ix, ">=", relation.Int(97), nil, exec.IndexScanHooks{
+	op := exec.NewIndexScan(rel, ix, ">=", relation.Int(97), nil, exec.IndexScanHooks{
 		OnIndexScan: func() { indexScans++ },
 		OnFullScan:  func() { fullScans++ },
 	})
@@ -113,7 +113,7 @@ func TestIndexScanRebuildsStaleIndexOnce(t *testing.T) {
 	// Invalidate the index.
 	mustInsert(t, rel, relation.Tuple{relation.Int(7), relation.String("dup")})
 	rebuilds, indexScans := 0, 0
-	op := exec.NewIndexScan(nil, rel, ix, "=", relation.Int(7), nil, exec.IndexScanHooks{
+	op := exec.NewIndexScan(rel, ix, "=", relation.Int(7), nil, exec.IndexScanHooks{
 		Rebuild: func() *relation.Index {
 			rebuilds++
 			ix2, err := rel.BuildIndex("K")
@@ -143,7 +143,7 @@ func TestIndexScanFallsBackLoudly(t *testing.T) {
 	mustInsert(t, rel, relation.Tuple{relation.Int(5), relation.String("dup")})
 	var reason string
 	fullScans := 0
-	op := exec.NewIndexScan(nil, rel, ix, "=", relation.Int(5),
+	op := exec.NewIndexScan(rel, ix, "=", relation.Int(5),
 		func(tu relation.Tuple) bool { return tu[0].Int64() == 5 },
 		exec.IndexScanHooks{
 			Rebuild:     func() *relation.Index { return nil },
@@ -165,8 +165,8 @@ func TestIndexScanFallsBackLoudly(t *testing.T) {
 
 func TestFilterRefillsBatches(t *testing.T) {
 	rel := numbers(t, "R", 4*exec.BatchSize, func(i int) string { return "x" })
-	op := exec.NewFilter(nil, func(tu relation.Tuple) bool { return tu[0].Int64()%2 == 0 },
-		exec.NewFullScan(nil, rel, nil))
+	op := exec.NewFilter(func(tu relation.Tuple) bool { return tu[0].Int64()%2 == 0 },
+		exec.NewFullScan(rel, nil))
 	rows := collect(t, op)
 	if len(rows) != 2*exec.BatchSize {
 		t.Fatalf("got %d rows, want %d", len(rows), 2*exec.BatchSize)
@@ -181,7 +181,7 @@ func TestFilterRefillsBatches(t *testing.T) {
 func TestProjectRowsAreRetainable(t *testing.T) {
 	rel := numbers(t, "R", 2*exec.BatchSize, func(i int) string { return fmt.Sprint("v", i) })
 	schema := relation.MustSchema(relation.Column{Name: "V", Type: relation.TString})
-	op := exec.NewProject(nil, schema, []int{1}, exec.NewFullScan(nil, rel, nil))
+	op := exec.NewProject(schema, []int{1}, exec.NewFullScan(rel, nil))
 	rows := collect(t, op)
 	if len(rows) != rel.Len() {
 		t.Fatalf("got %d rows, want %d", len(rows), rel.Len())
@@ -194,7 +194,7 @@ func TestProjectRowsAreRetainable(t *testing.T) {
 		}
 	}
 	// An identity projection hands the input tuples through uncopied.
-	ident := collect(t, exec.NewProject(nil, rel.Schema(), []int{0, 1}, exec.NewFullScan(nil, rel, nil)))
+	ident := collect(t, exec.NewProject(rel.Schema(), []int{0, 1}, exec.NewFullScan(rel, nil)))
 	if len(ident) != rel.Len() || &ident[0][0] != &rel.Row(0)[0] {
 		t.Error("identity projection copied its input rows")
 	}
@@ -203,8 +203,8 @@ func TestProjectRowsAreRetainable(t *testing.T) {
 func TestDistinctKeepsFirstOccurrence(t *testing.T) {
 	rel := numbers(t, "R", 300, func(i int) string { return fmt.Sprint("v", i%5) })
 	schema := relation.MustSchema(relation.Column{Name: "V", Type: relation.TString})
-	op := exec.NewDistinct(nil,
-		exec.NewProject(nil, schema, []int{1}, exec.NewFullScan(nil, rel, nil)))
+	op := exec.NewDistinct(
+		exec.NewProject(schema, []int{1}, exec.NewFullScan(rel, nil)))
 	rows := collect(t, op)
 	if len(rows) != 5 {
 		t.Fatalf("got %d distinct rows, want 5", len(rows))
@@ -224,7 +224,7 @@ func TestSortOrdersAndIsStable(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		mustInsert(t, rel, relation.Tuple{relation.Int(int64(i % 3)), relation.Int(int64(i))})
 	}
-	op := exec.NewSort(nil, []exec.SortSpec{{Col: 0, Desc: true}}, exec.NewFullScan(nil, rel, nil))
+	op := exec.NewSort([]exec.SortSpec{{Col: 0, Desc: true}}, exec.NewFullScan(rel, nil))
 	rows := collect(t, op)
 	if len(rows) != 400 {
 		t.Fatalf("got %d rows, want 400", len(rows))
@@ -260,8 +260,8 @@ func TestHashJoinMatchesNestedLoopReference(t *testing.T) {
 		relation.Column{Name: "K2", Type: relation.TInt},
 		relation.Column{Name: "W", Type: relation.TString},
 	)
-	op := exec.NewHashJoin(nil, schema,
-		exec.NewFullScan(nil, left, nil), exec.NewFullScan(nil, right, nil),
+	op := exec.NewHashJoin(schema,
+		exec.NewFullScan(left, nil), exec.NewFullScan(right, nil),
 		exec.KeyOf([]int{0}), exec.KeyOf([]int{0}))
 	got := collect(t, op)
 
@@ -293,8 +293,8 @@ func TestHashJoinEmptyBuildSide(t *testing.T) {
 		relation.Column{Name: "C", Type: relation.TInt},
 		relation.Column{Name: "D", Type: relation.TString},
 	)
-	op := exec.NewHashJoin(nil, schema,
-		exec.NewFullScan(nil, left, nil), exec.NewFullScan(nil, right, nil),
+	op := exec.NewHashJoin(schema,
+		exec.NewFullScan(left, nil), exec.NewFullScan(right, nil),
 		exec.KeyOf([]int{0}), exec.KeyOf([]int{0}))
 	if rows := collect(t, op); len(rows) != 0 {
 		t.Fatalf("got %d rows from an empty build side", len(rows))
@@ -310,8 +310,8 @@ func TestCrossJoinPairsEverything(t *testing.T) {
 		relation.Column{Name: "C", Type: relation.TInt},
 		relation.Column{Name: "D", Type: relation.TString},
 	)
-	op := exec.NewCrossJoin(nil, schema,
-		exec.NewFullScan(nil, left, nil), exec.NewFullScan(nil, right, nil))
+	op := exec.NewCrossJoin(schema,
+		exec.NewFullScan(left, nil), exec.NewFullScan(right, nil))
 	rows := collect(t, op)
 	if len(rows) != 7*11 {
 		t.Fatalf("got %d rows, want %d", len(rows), 7*11)
@@ -324,8 +324,8 @@ func TestCrossJoinPairsEverything(t *testing.T) {
 	}
 
 	empty := numbers(t, "E", 0, nil)
-	op = exec.NewCrossJoin(nil, schema,
-		exec.NewFullScan(nil, left, nil), exec.NewFullScan(nil, empty, nil))
+	op = exec.NewCrossJoin(schema,
+		exec.NewFullScan(left, nil), exec.NewFullScan(empty, nil))
 	if rows := collect(t, op); len(rows) != 0 {
 		t.Fatalf("got %d rows from an empty build side", len(rows))
 	}
@@ -360,7 +360,7 @@ func TestAggregateSemantics(t *testing.T) {
 		{Kind: exec.AggMin, Arg: 1},
 		{Kind: exec.AggMax, Arg: 1},
 	}
-	op := exec.NewAggregate(nil, schema, []int{0}, items, exec.NewFullScan(nil, rel, nil))
+	op := exec.NewAggregate(schema, []int{0}, items, exec.NewFullScan(rel, nil))
 	rows := collect(t, op)
 	if len(rows) != 2 {
 		t.Fatalf("got %d groups, want 2", len(rows))
@@ -385,9 +385,9 @@ func TestAggregateSemantics(t *testing.T) {
 		relation.Column{Name: "Count", Type: relation.TInt},
 		relation.Column{Name: "Sum", Type: relation.TInt},
 	)
-	op = exec.NewAggregate(nil, gtSchema, nil,
+	op = exec.NewAggregate(gtSchema, nil,
 		[]exec.AggItem{{Kind: exec.AggCount, Arg: -1}, {Kind: exec.AggSum, Arg: 0}},
-		exec.NewFullScan(nil, emptyRel, nil))
+		exec.NewFullScan(emptyRel, nil))
 	rows = collect(t, op)
 	if len(rows) != 1 {
 		t.Fatalf("grand total over empty input: got %d rows, want 1", len(rows))
@@ -397,22 +397,9 @@ func TestAggregateSemantics(t *testing.T) {
 	}
 }
 
-func TestLimitStopsPullingInput(t *testing.T) {
-	rel := numbers(t, "R", 20*exec.BatchSize, func(i int) string { return "x" })
-	src := &counting{Operator: exec.NewFullScan(nil, rel, nil)}
-	op := exec.NewLimit(10, src)
-	rows := collect(t, op)
-	if len(rows) != 10 {
-		t.Fatalf("got %d rows, want 10", len(rows))
-	}
-	if src.nexts != 1 {
-		t.Fatalf("source Next called %d times after a 10-row limit, want 1", src.nexts)
-	}
-}
-
 func TestDrainEarlyExitStopsPipeline(t *testing.T) {
 	rel := numbers(t, "R", 20*exec.BatchSize, func(i int) string { return "x" })
-	src := &counting{Operator: exec.NewFullScan(nil, rel, nil)}
+	src := &counting{Operator: exec.NewFullScan(rel, nil)}
 	n := 0
 	err := exec.Drain(context.Background(), src, func(relation.Tuple) bool {
 		n++
@@ -433,7 +420,7 @@ func TestDrainHonorsCancellation(t *testing.T) {
 	rel := numbers(t, "R", 10*exec.BatchSize, func(i int) string { return "x" })
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	err := exec.Drain(ctx, exec.NewFullScan(nil, rel, nil), func(relation.Tuple) bool {
+	err := exec.Drain(ctx, exec.NewFullScan(rel, nil), func(relation.Tuple) bool {
 		n++
 		if n == exec.BatchSize {
 			cancel() // takes effect at the next batch boundary
@@ -450,13 +437,13 @@ func TestDrainHonorsCancellation(t *testing.T) {
 
 func TestValuesAndEmpty(t *testing.T) {
 	schema := relation.MustSchema(relation.Column{Name: "K", Type: relation.TInt})
-	rows := collect(t, exec.NewValues(nil, schema, []relation.Tuple{
+	rows := collect(t, exec.NewValues(schema, []relation.Tuple{
 		{relation.Int(1)}, {relation.Int(2)},
 	}))
 	if len(rows) != 2 || rows[0][0].Int64() != 1 || rows[1][0].Int64() != 2 {
 		t.Fatalf("values: got %v", keys(rows))
 	}
-	if rows := collect(t, exec.NewEmpty(nil, schema)); len(rows) != 0 {
+	if rows := collect(t, exec.NewEmpty(schema)); len(rows) != 0 {
 		t.Fatalf("empty emitted %d rows", len(rows))
 	}
 }

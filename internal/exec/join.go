@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 
-	"intensional/internal/plan"
 	"intensional/internal/relation"
 )
 
@@ -15,7 +14,6 @@ import (
 // order within a key — deterministic, so one plan returns the same row
 // sequence on every run.
 type HashJoin struct {
-	node     plan.Node
 	schema   *relation.Schema
 	left     Operator
 	right    Operator
@@ -31,17 +29,13 @@ type HashJoin struct {
 	done  bool
 }
 
-// NewHashJoin builds a hash join executing node. schema is the
-// concatenated output row type; leftKey/rightKey must extract equal
-// keys for joining rows.
-func NewHashJoin(node plan.Node, schema *relation.Schema, left, right Operator,
+// NewHashJoin builds a hash join. schema is the concatenated output row
+// type; leftKey/rightKey must extract equal keys for joining rows.
+func NewHashJoin(schema *relation.Schema, left, right Operator,
 	leftKey, rightKey KeyFn) *HashJoin {
-	return &HashJoin{node: node, schema: schema, left: left, right: right,
+	return &HashJoin{schema: schema, left: left, right: right,
 		leftKey: leftKey, rightKey: rightKey}
 }
-
-// Plan returns the plan node this operator executes.
-func (j *HashJoin) Plan() plan.Node { return j.node }
 
 // Schema returns the concatenated output schema.
 func (j *HashJoin) Schema() *relation.Schema { return j.schema }
@@ -130,7 +124,6 @@ func (j *HashJoin) Close() error {
 // CrossJoin pairs every probe (left) row with every build (right) row.
 // Like HashJoin it materializes only the build side.
 type CrossJoin struct {
-	node   plan.Node
 	schema *relation.Schema
 	left   Operator
 	right  Operator
@@ -143,13 +136,10 @@ type CrossJoin struct {
 	done  bool
 }
 
-// NewCrossJoin builds a cross join executing node.
-func NewCrossJoin(node plan.Node, schema *relation.Schema, left, right Operator) *CrossJoin {
-	return &CrossJoin{node: node, schema: schema, left: left, right: right}
+// NewCrossJoin builds a cross join.
+func NewCrossJoin(schema *relation.Schema, left, right Operator) *CrossJoin {
+	return &CrossJoin{schema: schema, left: left, right: right}
 }
-
-// Plan returns the plan node this operator executes.
-func (j *CrossJoin) Plan() plan.Node { return j.node }
 
 // Schema returns the concatenated output schema.
 func (j *CrossJoin) Schema() *relation.Schema { return j.schema }

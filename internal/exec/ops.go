@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"intensional/internal/plan"
 	"intensional/internal/relation"
 )
 
@@ -13,7 +12,6 @@ import (
 // hit end of stream), so a selective filter still hands its consumer
 // full batches.
 type Filter struct {
-	node  plan.Node
 	pred  Pred
 	input Operator
 
@@ -22,13 +20,10 @@ type Filter struct {
 	done  bool
 }
 
-// NewFilter builds a filter executing node.
-func NewFilter(node plan.Node, pred Pred, input Operator) *Filter {
-	return &Filter{node: node, pred: pred, input: input}
+// NewFilter builds a filter.
+func NewFilter(pred Pred, input Operator) *Filter {
+	return &Filter{pred: pred, input: input}
 }
-
-// Plan returns the plan node this operator executes.
-func (f *Filter) Plan() plan.Node { return f.node }
 
 // Schema returns the input schema (filtering preserves row type).
 func (f *Filter) Schema() *relation.Schema { return f.input.Schema() }
@@ -76,7 +71,6 @@ func (f *Filter) Close() error {
 // projection — every input column, in order — passes input rows through
 // uncopied: published tuples are immutable, so sharing one is safe.
 type Project struct {
-	node     plan.Node
 	schema   *relation.Schema
 	cols     []int // input column position per output column
 	input    Operator
@@ -88,18 +82,15 @@ type Project struct {
 	done  bool
 }
 
-// NewProject builds a projection executing node; cols maps each output
-// column to its input position.
-func NewProject(node plan.Node, schema *relation.Schema, cols []int, input Operator) *Project {
+// NewProject builds a projection; cols maps each output column to its
+// input position.
+func NewProject(schema *relation.Schema, cols []int, input Operator) *Project {
 	identity := len(cols) == input.Schema().Len()
 	for i, c := range cols {
 		identity = identity && c == i
 	}
-	return &Project{node: node, schema: schema, cols: cols, input: input, identity: identity}
+	return &Project{schema: schema, cols: cols, input: input, identity: identity}
 }
-
-// Plan returns the plan node this operator executes.
-func (p *Project) Plan() plan.Node { return p.node }
 
 // Schema returns the projected output schema.
 func (p *Project) Schema() *relation.Schema { return p.schema }
@@ -155,7 +146,6 @@ func (p *Project) Close() error {
 // Distinct streams the first occurrence of each distinct row, tracking
 // seen keys as it goes — no buffering of the rows themselves.
 type Distinct struct {
-	node  plan.Node
 	input Operator
 
 	seen  map[string]struct{}
@@ -164,13 +154,10 @@ type Distinct struct {
 	done  bool
 }
 
-// NewDistinct builds a duplicate eliminator executing node.
-func NewDistinct(node plan.Node, input Operator) *Distinct {
-	return &Distinct{node: node, input: input}
+// NewDistinct builds a duplicate eliminator.
+func NewDistinct(input Operator) *Distinct {
+	return &Distinct{input: input}
 }
-
-// Plan returns the plan node this operator executes.
-func (d *Distinct) Plan() plan.Node { return d.node }
 
 // Schema returns the input schema.
 func (d *Distinct) Schema() *relation.Schema { return d.input.Schema() }
@@ -229,7 +216,6 @@ type SortSpec struct {
 // are buffered on the first Next and emitted in batches; ordering is
 // stable and null-first (relation.SortCompare).
 type Sort struct {
-	node  plan.Node
 	keys  []SortSpec
 	input Operator
 
@@ -239,13 +225,10 @@ type Sort struct {
 	pos    int
 }
 
-// NewSort builds a sort executing node.
-func NewSort(node plan.Node, keys []SortSpec, input Operator) *Sort {
-	return &Sort{node: node, keys: keys, input: input}
+// NewSort builds a sort.
+func NewSort(keys []SortSpec, input Operator) *Sort {
+	return &Sort{keys: keys, input: input}
 }
-
-// Plan returns the plan node this operator executes.
-func (s *Sort) Plan() plan.Node { return s.node }
 
 // Schema returns the input schema.
 func (s *Sort) Schema() *relation.Schema { return s.input.Schema() }
@@ -307,43 +290,3 @@ func (s *Sort) Close() error {
 	s.rows = nil
 	return s.input.Close()
 }
-
-// Limit emits at most n rows and then stops pulling its input entirely
-// — the minimal consumer of the early-exit contract.
-type Limit struct {
-	n     int
-	input Operator
-	taken int
-}
-
-// NewLimit caps the input at n rows.
-func NewLimit(n int, input Operator) *Limit {
-	return &Limit{n: n, input: input}
-}
-
-// Schema returns the input schema.
-func (l *Limit) Schema() *relation.Schema { return l.input.Schema() }
-
-// Open opens the input.
-func (l *Limit) Open(ctx context.Context) error {
-	l.taken = 0
-	return l.input.Open(ctx)
-}
-
-// Next emits input rows until the cap is reached; after that it never
-// pulls the input again.
-func (l *Limit) Next(b *Batch) error {
-	b.Reset()
-	if l.taken >= l.n {
-		return nil
-	}
-	if err := l.input.Next(b); err != nil {
-		return err
-	}
-	b.Truncate(l.n - l.taken)
-	l.taken += b.Len()
-	return nil
-}
-
-// Close closes the input.
-func (l *Limit) Close() error { return l.input.Close() }

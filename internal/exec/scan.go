@@ -4,14 +4,12 @@ import (
 	"context"
 	"sort"
 
-	"intensional/internal/plan"
 	"intensional/internal/relation"
 )
 
 // FullScan streams every row of a relation, in row order, one batch at
 // a time. It emits the relation's own tuple headers — no copying.
 type FullScan struct {
-	node   plan.Node
 	rel    *relation.Relation
 	onOpen func() // optional: scan-counter hook, fired once per run
 
@@ -19,14 +17,11 @@ type FullScan struct {
 	pos int
 }
 
-// NewFullScan builds a full scan over rel executing node. onOpen, when
-// non-nil, fires once per Open (the full-scan counter hook).
-func NewFullScan(node plan.Node, rel *relation.Relation, onOpen func()) *FullScan {
-	return &FullScan{node: node, rel: rel, onOpen: onOpen}
+// NewFullScan builds a full scan over rel. onOpen, when non-nil, fires
+// once per Open (the full-scan counter hook).
+func NewFullScan(rel *relation.Relation, onOpen func()) *FullScan {
+	return &FullScan{rel: rel, onOpen: onOpen}
 }
-
-// Plan returns the plan node this operator executes.
-func (s *FullScan) Plan() plan.Node { return s.node }
 
 // Schema returns the scanned relation's schema.
 func (s *FullScan) Schema() *relation.Schema { return s.rel.Schema() }
@@ -58,7 +53,7 @@ func (s *FullScan) Next(b *Batch) error {
 // Close releases nothing; full scans hold no resources.
 func (s *FullScan) Close() error { return nil }
 
-// IndexScanHooks wires an index scan to the session's observability: a
+// IndexScanHooks wires an index scan to the planner's observability: a
 // one-shot rebuild of a stale index, and the scan/fallback counters.
 // Every field is optional.
 type IndexScanHooks struct {
@@ -78,7 +73,6 @@ type IndexScanHooks struct {
 // fails too, the scan degrades — loudly, through the hooks — to a full
 // scan that re-checks the selection per row.
 type IndexScan struct {
-	node  plan.Node
 	rel   *relation.Relation
 	ix    *relation.Index
 	op    string
@@ -92,16 +86,13 @@ type IndexScan struct {
 	fallback bool // degrade to full scan + sel recheck
 }
 
-// NewIndexScan builds an index scan over rel executing node. sel must
-// decide the same "column op value" condition the index serves; it is
-// consulted only when the scan degrades to a full scan.
-func NewIndexScan(node plan.Node, rel *relation.Relation, ix *relation.Index,
+// NewIndexScan builds an index scan over rel. sel must decide the same
+// "column op value" condition the index serves; it is consulted only
+// when the scan degrades to a full scan.
+func NewIndexScan(rel *relation.Relation, ix *relation.Index,
 	op string, val relation.Value, sel Pred, hooks IndexScanHooks) *IndexScan {
-	return &IndexScan{node: node, rel: rel, ix: ix, op: op, val: val, sel: sel, hooks: hooks}
+	return &IndexScan{rel: rel, ix: ix, op: op, val: val, sel: sel, hooks: hooks}
 }
-
-// Plan returns the plan node this operator executes.
-func (s *IndexScan) Plan() plan.Node { return s.node }
 
 // Schema returns the scanned relation's schema.
 func (s *IndexScan) Schema() *relation.Schema { return s.rel.Schema() }
@@ -172,7 +163,6 @@ func (s *IndexScan) Close() error {
 // Values streams a fixed row list — the source for the zero-variable
 // retrieve (one empty row) and a convenient test double.
 type Values struct {
-	node   plan.Node
 	schema *relation.Schema
 	rows   []relation.Tuple
 
@@ -181,12 +171,9 @@ type Values struct {
 }
 
 // NewValues builds a fixed-row source.
-func NewValues(node plan.Node, schema *relation.Schema, rows []relation.Tuple) *Values {
-	return &Values{node: node, schema: schema, rows: rows}
+func NewValues(schema *relation.Schema, rows []relation.Tuple) *Values {
+	return &Values{schema: schema, rows: rows}
 }
-
-// Plan returns the plan node this operator executes.
-func (v *Values) Plan() plan.Node { return v.node }
 
 // Schema returns the fixed rows' schema.
 func (v *Values) Schema() *relation.Schema { return v.schema }
@@ -218,17 +205,13 @@ func (v *Values) Close() error { return nil }
 // semantic optimizer proved empty. Its pipeline scans zero batches of
 // anything.
 type Empty struct {
-	node   plan.Node
 	schema *relation.Schema
 }
 
 // NewEmpty builds a zero-row source with the given output schema.
-func NewEmpty(node plan.Node, schema *relation.Schema) *Empty {
-	return &Empty{node: node, schema: schema}
+func NewEmpty(schema *relation.Schema) *Empty {
+	return &Empty{schema: schema}
 }
-
-// Plan returns the plan node this operator executes.
-func (e *Empty) Plan() plan.Node { return e.node }
 
 // Schema returns the would-be output schema.
 func (e *Empty) Schema() *relation.Schema { return e.schema }

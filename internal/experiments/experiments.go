@@ -436,7 +436,7 @@ func runA3(w io.Writer) error {
 		return err
 	}
 
-	q := query.New(cat)
+	q := query.New(cat, nil, nil)
 	sqls := map[string]string{
 		"Example 1": Example1SQL,
 		"Example 2": Example2SQL,
@@ -457,11 +457,11 @@ func runA3(w io.Writer) error {
 		p := infer.New(d)
 		row := fmt.Sprintf("%-33s %-8d", kb.name, kb.set.Len())
 		for _, name := range names {
-			_, an, err := q.Run(sqls[name])
+			prep, err := q.Prepare(sqls[name], nil)
 			if err != nil {
 				return err
 			}
-			res, err := p.Derive(an)
+			res, err := p.Derive(prep.Analysis)
 			if err != nil {
 				return err
 			}
@@ -595,7 +595,7 @@ func runA6(w io.Writer) error {
 		return err
 	}
 	d.SetRules(set)
-	q := query.New(cat)
+	q := query.New(cat, nil, nil)
 	cases := []struct {
 		label, sql string
 	}{
@@ -605,11 +605,11 @@ WHERE SUBMARINE.CLASS = CLASS.CLASS AND CLASS.DISPLACEMENT > 8000`},
 		{"redundancy", `SELECT Class FROM CLASS WHERE Displacement > 3000 AND Displacement > 8000`},
 	}
 	for _, c := range cases {
-		_, an, err := q.Run(c.sql)
+		prep, err := q.Prepare(c.sql, nil)
 		if err != nil {
 			return err
 		}
-		rep, err := semopt.Analyze(an, d)
+		rep, err := semopt.Analyze(prep.Analysis, d)
 		if err != nil {
 			return err
 		}

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"intensional/internal/dict"
-	"intensional/internal/exec"
 	"intensional/internal/quel"
 	"intensional/internal/relation"
 	"intensional/internal/rules"
@@ -155,7 +154,7 @@ func (in *Inducer) InducePairContext(ctx context.Context, p Pair) ([]*rules.Rule
 
 	scratch := storage.NewCatalog()
 	scratch.Put(base)
-	sess := quel.NewSession(scratch)
+	sess := quel.NewSession(quel.NewPlanner(scratch, nil, nil))
 	steps := []string{
 		// Step 1: retrieve the (X, Y) value pairs.
 		"range of r is BASE",
@@ -475,7 +474,7 @@ func (m *materialised) fresh(cat *storage.Catalog) bool {
 // the user.
 func (in *Inducer) buildJoin(ctx context.Context, r *dict.Relationship) (*materialised, error) {
 	cat := in.d.Catalog()
-	sess := quel.NewSession(cat)
+	ranges := map[string]string{}
 	where := &quel.AndExpr{}
 	st := &quel.RetrieveStmt{Where: where}
 	var deps []matDep
@@ -486,9 +485,7 @@ func (in *Inducer) buildJoin(ctx context.Context, r *dict.Relationship) (*materi
 		if err != nil {
 			return err
 		}
-		if err := sess.SetRange(relName, relName); err != nil {
-			return err
-		}
+		ranges[strings.ToLower(relName)] = relName
 		deps = append(deps, matDep{name: relName, rel: rel, version: rel.Version()})
 		joinedRels[strings.ToLower(relName)] = true
 		for _, c := range rel.Schema().Columns() {
@@ -525,15 +522,14 @@ func (in *Inducer) buildJoin(ctx context.Context, r *dict.Relationship) (*materi
 			return nil, err
 		}
 	}
-	rp, err := sess.PlanRetrieve(st)
+	rp, err := quel.NewPlanner(cat, nil, nil).PlanRetrieve(st, ranges)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := exec.Collect(ctx, rp.Stream(), 0)
+	joined, err := rp.Tree.Run(ctx, r.Name)
 	if err != nil {
 		return nil, err
 	}
-	joined := relation.FromRows(r.Name, rp.Schema(), rows)
 	return &materialised{joined: joined, colFor: colFor, deps: deps}, nil
 }
 

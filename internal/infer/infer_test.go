@@ -34,20 +34,31 @@ func newHarness(t *testing.T, nc int) *harness {
 		t.Fatal(err)
 	}
 	d.SetRules(set)
-	return &harness{d: d, q: query.New(cat), p: infer.New(d)}
+	return &harness{d: d, q: query.New(cat, nil, nil), p: infer.New(d)}
+}
+
+// execute prepares sql as written and runs it, returning the extensional
+// answer with the query's analysis.
+func execute(q *query.Processor, sql string) (*relation.Relation, *query.Analysis, error) {
+	prep, err := q.Prepare(sql, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	ext, err := prep.Run()
+	return ext, prep.Analysis, err
 }
 
 func (h *harness) run(t *testing.T, sql string) (*query.Analysis, *infer.Result) {
 	t.Helper()
-	_, an, err := h.q.Run(sql)
+	prep, err := h.q.Prepare(sql, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.p.Derive(an)
+	res, err := h.p.Derive(prep.Analysis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return an, res
+	return prep.Analysis, res
 }
 
 const (
@@ -199,7 +210,7 @@ func TestExample3Combined(t *testing.T) {
 func TestForwardSupersetInvariant(t *testing.T) {
 	h := newHarness(t, 3)
 	for _, sql := range []string{example1, example2, example3} {
-		ext, an, err := h.q.Run(sql)
+		ext, an, err := execute(h.q, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +241,7 @@ func TestForwardSupersetInvariant(t *testing.T) {
 // description is contained in the extensional answer.
 func TestBackwardSubsetInvariant(t *testing.T) {
 	h := newHarness(t, 3)
-	ext, an, err := h.q.Run(example2)
+	ext, an, err := execute(h.q, example2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,12 +332,12 @@ func TestPaperRulesInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetRules(shipdb.PaperRules())
-	q := query.New(cat)
-	_, an, err := q.Run(example1)
+	q := query.New(cat, nil, nil)
+	prep, err := q.Prepare(example1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := infer.New(d).Derive(an)
+	res, err := infer.New(d).Derive(prep.Analysis)
 	if err != nil {
 		t.Fatal(err)
 	}

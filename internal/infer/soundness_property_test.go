@@ -83,14 +83,14 @@ func TestInferenceSoundOnRandomDBsProperty(t *testing.T) {
 		}
 		d.SetRules(set)
 		p := infer.New(d)
-		q := query.New(cat)
+		q := query.New(cat, nil, nil)
 
 		ops := []string{"=", "<", "<=", ">", ">="}
 		for trial := 0; trial < 4; trial++ {
 			op := ops[rr.Intn(len(ops))]
 			v := rr.Intn(100)
 			sql := fmt.Sprintf("SELECT X, T FROM R WHERE X %s %d", op, v)
-			ext, an, err := q.Run(sql)
+			ext, an, err := execute(q, sql)
 			if err != nil {
 				return false
 			}

@@ -19,10 +19,11 @@ import (
 //
 // Frozen types are the repo's published-immutable surfaces: every
 // named type of internal/plan (plan trees are replayed verbatim by
-// EXPLAIN and execution), query.Prepared and query.aggPlan (the
-// prepared-statement cache), quel.RetrievePlan/scanPlan/accessPath
-// (the compiled access paths inside cached plans), and core.Response /
-// core.snapshot (the cached responses and the snapshot chain).
+// EXPLAIN and execution), query.Prepared (the prepared-statement
+// cache), exec.Tree (the plan node and operator factory a prepared
+// statement runs), quel.RetrievePlan/scanPlan/accessPath (a planned
+// retrieve and the access paths it is lowered from), and core.Response
+// / core.snapshot (the cached responses and the snapshot chain).
 // Internally-locked caches hanging off a snapshot (stmtCache and its
 // stmt entries, IndexCache) are the sanctioned mutable leaves and are
 // deliberately not frozen — lockguard owns their contracts.
@@ -47,7 +48,8 @@ var snapfreezePass = &Pass{
 // frozenNamedTypes lists the frozen types outside internal/plan, keyed
 // by package-path suffix.
 var frozenNamedTypes = map[string]map[string]bool{
-	"internal/query": {"Prepared": true, "aggPlan": true},
+	"internal/query": {"Prepared": true},
+	"internal/exec":  {"Tree": true},
 	"internal/quel":  {"RetrievePlan": true, "scanPlan": true, "accessPath": true},
 	"internal/core":  {"Response": true, "snapshot": true},
 }

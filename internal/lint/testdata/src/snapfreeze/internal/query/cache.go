@@ -3,13 +3,17 @@
 // they are shared, next to the legal fresh-construction idioms.
 package query
 
-import "fixture/snapfreeze/internal/plan"
+import (
+	"fixture/snapfreeze/internal/exec"
+	"fixture/snapfreeze/internal/plan"
+)
 
 // Prepared mirrors the production prepared statement: planned once,
 // cached, and shared by every later execution.
 type Prepared struct {
 	SQL  string
 	Tree *plan.Plan
+	Exec exec.Tree
 	Hits int
 }
 
@@ -31,6 +35,12 @@ func (c *cache) touch(k string) {
 func (c *cache) retag(k string) {
 	s := c.get(k).Tree.Root.(*plan.Scan)
 	s.Cols[0] = "renamed" // want "mutating a published Scan value"
+}
+
+// regraft swaps the root of a published statement's executable tree: the
+// write lands on the exec.Tree value held inside the statement.
+func (c *cache) regraft(k string) {
+	c.get(k).Exec.Node = nil // want "mutating a published Tree value"
 }
 
 // reprice hands a published plan to a helper that mutates it: the

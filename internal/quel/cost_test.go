@@ -7,9 +7,16 @@ import (
 	"intensional/internal/plan"
 )
 
-// planFor parses a retrieve statement and plans it on the session
-// without running it.
+// planFor parses a retrieve statement and plans it on the session's
+// planner with the session's range bindings, without running it.
 func planFor(t *testing.T, s *Session, src string) *RetrievePlan {
+	t.Helper()
+	return planOn(t, s.p, s.ranges, src)
+}
+
+// planOn parses a retrieve statement and plans it on pl with the given
+// range bindings, without running it.
+func planOn(t *testing.T, pl *Planner, ranges map[string]string, src string) *RetrievePlan {
 	t.Helper()
 	st, err := Parse(src)
 	if err != nil {
@@ -19,7 +26,7 @@ func planFor(t *testing.T, s *Session, src string) *RetrievePlan {
 	if !ok {
 		t.Fatalf("parse %q: not a retrieve", src)
 	}
-	rp, err := s.PlanRetrieve(rst)
+	rp, err := pl.PlanRetrieve(rst, ranges)
 	if err != nil {
 		t.Fatalf("plan %q: %v", src, err)
 	}
@@ -60,7 +67,7 @@ func findFullScan(n plan.Node) *plan.FullScan {
 // instead of exactly one row.
 func TestCostBasedIndexSelection(t *testing.T) {
 	cat := bigCatalog(t, 500) // K unique, G = K%7 (~71 rows per value)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of b is BIG")
 
 	for _, src := range []string{
@@ -92,7 +99,7 @@ func TestCostBasedIndexSelection(t *testing.T) {
 // first must not shadow a selective equality on another column.
 func TestCostBasedSelectionPrefersEquality(t *testing.T) {
 	cat := bigCatalog(t, 500)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of b is BIG")
 
 	rp := planFor(t, s, "retrieve (b.K) where b.K > 10 and b.G = 3")
@@ -112,13 +119,11 @@ func TestCostBasedSelectionPrefersEquality(t *testing.T) {
 // surfaced in the plan.
 func TestFallbackCounterAndLog(t *testing.T) {
 	cat := bigCatalog(t, 100)
-	s := NewSession(cat)
 	var c Counters
-	s.SetCounters(&c)
 	var logged []string
-	s.SetLogf(func(format string, args ...any) {
+	s := NewSession(NewPlanner(cat, &c, func(format string, args ...any) {
 		logged = append(logged, format)
-	})
+	}))
 	mustExec(t, s, "range of b is BIG")
 
 	rp := planFor(t, s, `retrieve (b.K) where b.K = "oops"`)
@@ -153,9 +158,8 @@ func TestFallbackCounterAndLog(t *testing.T) {
 // access path.
 func TestScanCounters(t *testing.T) {
 	cat := bigCatalog(t, 200)
-	s := NewSession(cat)
 	var c Counters
-	s.SetCounters(&c)
+	s := NewSession(NewPlanner(cat, &c, nil))
 	mustExec(t, s, "range of b is BIG")
 
 	mustExec(t, s, "retrieve (b.K) where b.K = 42")
@@ -168,31 +172,36 @@ func TestScanCounters(t *testing.T) {
 	}
 }
 
-// TestSharedIndexCache: two sessions over one catalog share indexes
-// through an IndexCache.
+// TestSharedIndexCache: an index one statement builds serves every
+// later statement planned on the same planner — one build, not one per
+// statement.
 func TestSharedIndexCache(t *testing.T) {
 	cat := bigCatalog(t, 200)
-	cache := NewIndexCache()
+	pl := NewPlanner(cat, nil, nil)
+	ranges := map[string]string{"b": "BIG"}
+	const key = "big\x00K"
 
-	s1 := NewSession(cat)
-	s1.SetIndexCache(cache)
-	mustExec(t, s1, "range of b is BIG")
-	mustExec(t, s1, "retrieve (b.K) where b.K = 42")
-	if cache.Len() != 1 {
-		t.Fatalf("cache size = %d, want 1", cache.Len())
+	res, err := planOn(t, pl, ranges, "retrieve (b.K) where b.K = 42").Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	s2 := NewSession(cat)
-	s2.SetIndexCache(cache)
-	mustExec(t, s2, "range of b is BIG")
-	res := mustExec(t, s2, "retrieve (b.K) where b.K = 42")
 	if res.Rel.Len() != 1 {
 		t.Fatalf("rows = %d, want 1", res.Rel.Len())
 	}
-	if cache.Len() != 1 {
-		t.Errorf("cache size = %d, want 1 (shared, not rebuilt)", cache.Len())
+	if pl.cache.Len() != 1 {
+		t.Fatalf("cache size = %d, want 1", pl.cache.Len())
 	}
-	if s2.cache != cache {
-		t.Error("session kept its private cache after SetIndexCache")
+	built := pl.cache.m[key]
+
+	res, err = planOn(t, pl, ranges, "retrieve (b.G) where b.K = 42").Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rel.Len() != 1 {
+		t.Fatalf("rows = %d, want 1", res.Rel.Len())
+	}
+	if pl.cache.Len() != 1 || pl.cache.m[key] != built {
+		t.Errorf("cache size = %d, index rebuilt = %v; want 1 shared index",
+			pl.cache.Len(), pl.cache.m[key] != built)
 	}
 }

@@ -29,7 +29,7 @@ func dmlCatalog(t *testing.T) *storage.Catalog {
 
 func TestAppend(t *testing.T) {
 	cat := dmlCatalog(t)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	res := mustExec(t, s, `append to EMP (Id = 3, Name = "Carol", Age = 28, Dept = eng)`)
 	if res.Appended != 1 {
 		t.Fatalf("appended = %d", res.Appended)
@@ -46,7 +46,7 @@ func TestAppend(t *testing.T) {
 
 func TestAppendPartialAssignsNull(t *testing.T) {
 	cat := dmlCatalog(t)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, `append to EMP (Id = 9)`)
 	r, _ := cat.Get("EMP")
 	row := r.Row(2)
@@ -57,7 +57,7 @@ func TestAppendPartialAssignsNull(t *testing.T) {
 
 func TestAppendCoercesBareNumbers(t *testing.T) {
 	cat := dmlCatalog(t)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	// A quoted number still coerces into an int column.
 	mustExec(t, s, `append to EMP (Id = "7", Age = 50)`)
 	r, _ := cat.Get("EMP")
@@ -67,7 +67,7 @@ func TestAppendCoercesBareNumbers(t *testing.T) {
 }
 
 func TestAppendErrors(t *testing.T) {
-	s := NewSession(dmlCatalog(t))
+	s := NewSession(NewPlanner(dmlCatalog(t), nil, nil))
 	bad := []string{
 		`append to NOPE (Id = 1)`,
 		`append to EMP (Nope = 1)`,
@@ -86,7 +86,7 @@ func TestAppendErrors(t *testing.T) {
 
 func TestReplaceQualified(t *testing.T) {
 	cat := dmlCatalog(t)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of e is EMP")
 	res := mustExec(t, s, `replace e (Dept = "platform") where e.Dept = "eng"`)
 	if res.Replaced != 1 {
@@ -100,7 +100,7 @@ func TestReplaceQualified(t *testing.T) {
 
 func TestReplaceUnqualifiedTouchesAll(t *testing.T) {
 	cat := dmlCatalog(t)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of e is EMP")
 	res := mustExec(t, s, `replace e (Age = 21)`)
 	if res.Replaced != 2 {
@@ -126,7 +126,7 @@ func TestReplaceFromOtherVariable(t *testing.T) {
 	grades.MustInsert(relation.String("eng"), relation.Int(5))
 	grades.MustInsert(relation.String("ops"), relation.Int(3))
 
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of e is EMP")
 	mustExec(t, s, "range of g is GRADES")
 	// Copy each employee's department level into Age (a contrived but
@@ -142,7 +142,7 @@ func TestReplaceFromOtherVariable(t *testing.T) {
 }
 
 func TestReplaceErrors(t *testing.T) {
-	s := NewSession(dmlCatalog(t))
+	s := NewSession(NewPlanner(dmlCatalog(t), nil, nil))
 	mustExec(t, s, "range of e is EMP")
 	bad := []string{
 		`replace x (Age = 1)`,            // undeclared variable
@@ -201,7 +201,7 @@ func TestReplaceCoercionFailureWritesNothing(t *testing.T) {
 	src.MustInsert(relation.Int(1), relation.String("31"))
 	src.MustInsert(relation.Int(2), relation.String("oops"))
 
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of e is EMP")
 	mustExec(t, s, "range of v is SRC")
 	emp, _ := cat.Get("EMP")
@@ -219,7 +219,7 @@ func TestReplaceCoercionFailureWritesNothing(t *testing.T) {
 // ones it has written so far — the two ages swap rather than smear.
 func TestReplaceReadsPreImage(t *testing.T) {
 	cat := dmlCatalog(t)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of e is EMP")
 	mustExec(t, s, "range of f is EMP")
 	res := mustExec(t, s, `replace e (Age = f.Age) where e.Id != f.Id`)
@@ -248,7 +248,7 @@ func TestDMLTreatsDuplicateRowsAlike(t *testing.T) {
 	depts.MustInsert(relation.String("platform"))
 	depts.MustInsert(relation.String("platform"))
 
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of e is EMP")
 	mustExec(t, s, "range of d is DEPTS")
 	if res := mustExec(t, s, `replace e (Dept = "platform") where e.Id = 1`); res.Replaced != 2 {
@@ -318,7 +318,7 @@ func TestDMLCancellation(t *testing.T) {
 				t.Fatalf("%s: still cancelled after %d context checks", c.stmt, budget)
 			}
 			cat := bigCatalog(t, n)
-			s := NewSession(cat)
+			s := NewSession(NewPlanner(cat, nil, nil))
 			mustExec(t, s, "range of b is BIG")
 			rel, _ := cat.Get("BIG")
 			before := image(rel)
@@ -353,7 +353,7 @@ func TestDMLCancellation(t *testing.T) {
 // the statement is planned, for retrieve and DML alike, instead of
 // compiling to a predicate that is false on every row.
 func TestUnknownOperatorIsAPlanError(t *testing.T) {
-	s := NewSession(dmlCatalog(t))
+	s := NewSession(NewPlanner(dmlCatalog(t), nil, nil))
 	mustExec(t, s, "range of e is EMP")
 	where := &BinExpr{Op: "~", L: ColOperand{Col: ColRef{Var: "e", Attr: "Id"}}, R: ConstOperand{Val: relation.Int(1)}}
 	for _, st := range []Stmt{

@@ -14,7 +14,7 @@ import (
 )
 
 // Counters tallies the planner's access-path decisions across queries.
-// One instance is typically shared by every session a snapshot spawns so
+// One instance is typically shared by the planners of every snapshot so
 // /metrics can report scan behaviour system-wide; the zero value is
 // ready to use and all fields are safe for concurrent update.
 type Counters struct {
@@ -29,25 +29,20 @@ type Counters struct {
 	IndexFallbacks atomic.Int64
 }
 
-// IndexCache holds lazily built secondary indexes. Every Session starts
-// with a private one that dies with it — useless in the SQL path, which
-// spins up a fresh session per query, so that path shares one cache
-// between sessions (SetIndexCache). Entries are keyed by relation name
-// but validated on every lookup against the relation object the caller
-// is actually scanning: the index must have been built over that
-// identical object (Index.For — pointer identity, which catches a
-// relation replaced under the same name on a cache shared across
-// snapshots) and still match its version (Index.Fresh). A mis-shared
-// cache therefore degrades to rebuilds instead of serving rows from a
-// stale twin.
+// IndexCache holds a planner's lazily built secondary indexes. It lives
+// exactly as long as its Planner — on the SQL path, one catalog
+// snapshot — and is shared by every statement planned on it, including
+// concurrent ones. Entries are keyed by relation name but validated on
+// every lookup against the relation object the caller is actually
+// scanning: the index must have been built over that identical object
+// (Index.For — pointer identity, which catches a relation replaced under
+// the same name) and still match its version (Index.Fresh, which
+// catches a relation written in place by a QUEL statement). A cache that
+// outlives its data therefore degrades to rebuilds instead of serving
+// rows from a stale twin.
 type IndexCache struct {
 	mu sync.Mutex
 	m  map[string]*relation.Index // guarded by mu
-}
-
-// NewIndexCache creates an empty index cache.
-func NewIndexCache() *IndexCache {
-	return &IndexCache{m: make(map[string]*relation.Index)}
 }
 
 // get returns the cached index under key only if it was built over rel
@@ -75,85 +70,85 @@ func (c *IndexCache) Len() int {
 	return len(c.m)
 }
 
-// Session executes QUEL statements against a catalog. Range declarations
-// persist for the life of the session, as in INGRES, and so do the
-// secondary indexes the planner builds lazily for selective conditions
-// on large relations (rebuilt automatically when the data changes).
-type Session struct {
-	cat    *storage.Catalog
-	ranges map[string]string // lower(var) → relation name
-
-	cache    *IndexCache // private unless SetIndexCache swapped in a shared one
-	counters *Counters   // optional shared scan counters
+// Planner plans retrieve statements against one catalog. It owns the
+// catalog's secondary indexes, built lazily for selective conditions on
+// large relations and rebuilt automatically when the data changes, and
+// reports its access-path decisions to counters and a logger. A Planner
+// holds no per-statement state — every statement brings its own range
+// bindings — so one planner serves concurrent callers.
+type Planner struct {
+	cat      *storage.Catalog
+	cache    *IndexCache
+	counters *Counters
 	logf     func(format string, args ...any)
 }
+
+// NewPlanner creates a planner over cat that tallies its access paths in
+// counters and logs index fallbacks through logf; either may be nil.
+func NewPlanner(cat *storage.Catalog, counters *Counters, logf func(format string, args ...any)) *Planner {
+	if counters == nil {
+		counters = new(Counters)
+	}
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	return &Planner{
+		cat:      cat,
+		cache:    &IndexCache{m: make(map[string]*relation.Index)},
+		counters: counters,
+		logf:     logf,
+	}
+}
+
+// IndexCache returns the planner's index cache.
+func (p *Planner) IndexCache() *IndexCache { return p.cache }
 
 // indexMinRows is the relation size below which a scan beats building an
 // index.
 const indexMinRows = 64
 
-// NewSession creates a session over the given catalog.
-func NewSession(cat *storage.Catalog) *Session {
-	return &Session{
-		cat:    cat,
-		ranges: make(map[string]string),
-		cache:  NewIndexCache(),
-	}
-}
-
-// SetIndexCache makes the session build and look up secondary indexes in
-// the given shared cache instead of its private one. c must not be nil.
-func (s *Session) SetIndexCache(c *IndexCache) { s.cache = c }
-
-// SetCounters wires the session's access-path decisions to shared
-// counters.
-func (s *Session) SetCounters(c *Counters) { s.counters = c }
-
-// SetLogf installs a logger for planner diagnostics (index fallbacks).
-func (s *Session) SetLogf(f func(format string, args ...any)) { s.logf = f }
-
 // indexFor returns a fresh index on the relation's column, building or
 // rebuilding as needed. A nil index with an empty reason means indexing
 // is simply not worthwhile (small relation); a non-empty reason reports
 // a build failure the caller should surface as an index fallback.
-func (s *Session) indexFor(rel *relation.Relation, col int) (*relation.Index, string) {
+func (p *Planner) indexFor(rel *relation.Relation, col int) (*relation.Index, string) {
 	if rel.Len() < indexMinRows {
 		return nil, ""
 	}
 	key := strings.ToLower(rel.Name()) + "\x00" + rel.Schema().Col(col).Name
-	if ix := s.cache.get(key, rel); ix != nil && ix.Fresh() {
+	if ix := p.cache.get(key, rel); ix != nil && ix.Fresh() {
 		return ix, ""
 	}
 	ix, err := rel.BuildIndex(rel.Schema().Col(col).Name)
 	if err != nil {
 		return nil, err.Error()
 	}
-	s.cache.put(key, ix)
+	p.cache.put(key, ix)
 	return ix, ""
 }
 
 // noteFallback records an index that could not serve a planned access
 // path — the silent-degradation case the plannerIndexFallbacks metric
 // exists to expose.
-func (s *Session) noteFallback(rel, col, reason string) {
-	if s.counters != nil {
-		s.counters.IndexFallbacks.Add(1)
-	}
-	if s.logf != nil {
-		s.logf("quel: index fallback on %s.%s: %s", rel, col, reason)
-	}
+func (p *Planner) noteFallback(rel, col, reason string) {
+	p.counters.IndexFallbacks.Add(1)
+	p.logf("quel: index fallback on %s.%s: %s", rel, col, reason)
 }
 
-func (s *Session) countFullScan() {
-	if s.counters != nil {
-		s.counters.FullScans.Add(1)
-	}
+func (p *Planner) countFullScan() { p.counters.FullScans.Add(1) }
+
+func (p *Planner) countIndexScan() { p.counters.IndexScans.Add(1) }
+
+// Session executes QUEL statements through a planner. Range
+// declarations persist for the life of the session, as in INGRES.
+type Session struct {
+	p      *Planner
+	ranges map[string]string // lower(var) → relation name
 }
 
-func (s *Session) countIndexScan() {
-	if s.counters != nil {
-		s.counters.IndexScans.Add(1)
-	}
+// NewSession creates a session over the planner's catalog.
+func NewSession(p *Planner) *Session {
+	return &Session{p: p, ranges: make(map[string]string)}
 }
 
 // Result reports the effect of one statement: the retrieved relation
@@ -198,9 +193,10 @@ func (s *Session) ExecStmt(st Stmt) (*Result, error) {
 func (s *Session) ExecStmtContext(ctx context.Context, st Stmt) (*Result, error) {
 	switch st := st.(type) {
 	case *RangeStmt:
-		if err := s.SetRange(st.Var, st.Rel); err != nil {
-			return nil, err
+		if !s.p.cat.Has(st.Rel) {
+			return nil, fmt.Errorf("quel: range of %s: no relation %q", st.Var, st.Rel)
 		}
+		s.ranges[strings.ToLower(st.Var)] = st.Rel
 		return &Result{}, nil
 	case *RetrieveStmt:
 		return s.execRetrieve(ctx, st)
@@ -213,16 +209,6 @@ func (s *Session) ExecStmtContext(ctx context.Context, st Stmt) (*Result, error)
 	default:
 		return nil, fmt.Errorf("quel: unknown statement %T", st)
 	}
-}
-
-// SetRange binds a range variable to a relation, the programmatic form
-// of `range of v is R`.
-func (s *Session) SetRange(varName, rel string) error {
-	if !s.cat.Has(rel) {
-		return fmt.Errorf("quel: range of %s: no relation %q", varName, rel)
-	}
-	s.ranges[strings.ToLower(varName)] = rel
-	return nil
 }
 
 // coerce adapts a constant to a column type, parsing bare-identifier
@@ -238,7 +224,7 @@ func coerce(v relation.Value, t relation.Type) (relation.Value, error) {
 }
 
 func (s *Session) execAppend(st *AppendStmt) (*Result, error) {
-	rel, err := s.cat.Get(st.Rel)
+	rel, err := s.p.cat.Get(st.Rel)
 	if err != nil {
 		return nil, err
 	}
@@ -267,13 +253,14 @@ func (s *Session) execAppend(st *AppendStmt) (*Result, error) {
 	return &Result{Appended: 1}, nil
 }
 
-// rangeRel resolves a range variable to its relation.
-func (s *Session) rangeRel(v string) (*relation.Relation, error) {
-	relName, ok := s.ranges[strings.ToLower(v)]
+// rangeRel resolves a range variable to its relation through ranges,
+// which maps lower(var) to a relation name.
+func rangeRel(cat *storage.Catalog, ranges map[string]string, v string) (*relation.Relation, error) {
+	relName, ok := ranges[strings.ToLower(v)]
 	if !ok {
 		return nil, fmt.Errorf("quel: variable %q has no range declaration", v)
 	}
-	return s.cat.Get(relName)
+	return cat.Get(relName)
 }
 
 // qualifying evaluates a delete or replace qualification as a retrieve
@@ -299,7 +286,7 @@ func (s *Session) qualifying(ctx context.Context, v string, rel *relation.Relati
 }
 
 func (s *Session) execDelete(ctx context.Context, st *DeleteStmt) (*Result, error) {
-	rel, err := s.rangeRel(st.Var)
+	rel, err := rangeRel(s.p.cat, s.ranges, st.Var)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +310,7 @@ func (s *Session) execDelete(ctx context.Context, st *DeleteStmt) (*Result, erro
 }
 
 func (s *Session) execReplace(ctx context.Context, st *ReplaceStmt) (*Result, error) {
-	rel, err := s.rangeRel(st.Var)
+	rel, err := rangeRel(s.p.cat, s.ranges, st.Var)
 	if err != nil {
 		return nil, err
 	}
@@ -392,45 +379,47 @@ func (s *Session) execReplace(ctx context.Context, st *ReplaceStmt) (*Result, er
 	return &Result{Replaced: replaced}, nil
 }
 
-// planner resolves variables, classifies the qualification's conjuncts,
-// and chooses access paths and a join order.
-type planner struct {
-	sess   *Session
+// scope plans one statement: it resolves the statement's variables
+// through its range bindings, classifies the qualification's conjuncts,
+// and chooses access paths and a join order with the planner's indexes.
+type scope struct {
+	pl     *Planner
+	ranges map[string]string // lower(var) → relation name
 	vars   []string
 	varIdx map[string]int
 	rels   []*relation.Relation
 }
 
-func newPlanner(s *Session) *planner {
-	return &planner{sess: s, varIdx: make(map[string]int)}
+func (p *Planner) newScope(ranges map[string]string) *scope {
+	return &scope{pl: p, ranges: ranges, varIdx: make(map[string]int)}
 }
 
 // addVar registers a range variable, resolving its relation.
-func (p *planner) addVar(v string) (int, error) {
+func (sc *scope) addVar(v string) (int, error) {
 	key := strings.ToLower(v)
-	if i, ok := p.varIdx[key]; ok {
+	if i, ok := sc.varIdx[key]; ok {
 		return i, nil
 	}
-	r, err := p.sess.rangeRel(v)
+	r, err := rangeRel(sc.pl.cat, sc.ranges, v)
 	if err != nil {
 		return 0, err
 	}
-	i := len(p.vars)
-	p.vars = append(p.vars, v)
-	p.varIdx[key] = i
-	p.rels = append(p.rels, r)
+	i := len(sc.vars)
+	sc.vars = append(sc.vars, v)
+	sc.varIdx[key] = i
+	sc.rels = append(sc.rels, r)
 	return i, nil
 }
 
 // collectVars registers every variable appearing in the expression.
-func (p *planner) collectVars(e Expr) error {
+func (sc *scope) collectVars(e Expr) error {
 	switch e := e.(type) {
 	case nil:
 		return nil
 	case *BinExpr:
 		for _, o := range []Operand{e.L, e.R} {
 			if c, ok := o.(ColOperand); ok {
-				if _, err := p.addVar(c.Col.Var); err != nil {
+				if _, err := sc.addVar(c.Col.Var); err != nil {
 					return err
 				}
 			}
@@ -438,34 +427,34 @@ func (p *planner) collectVars(e Expr) error {
 		return nil
 	case *AndExpr:
 		for _, t := range e.Terms {
-			if err := p.collectVars(t); err != nil {
+			if err := sc.collectVars(t); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *OrExpr:
 		for _, t := range e.Terms {
-			if err := p.collectVars(t); err != nil {
+			if err := sc.collectVars(t); err != nil {
 				return err
 			}
 		}
 		return nil
 	case *NotExpr:
-		return p.collectVars(e.Term)
+		return sc.collectVars(e.Term)
 	default:
 		return fmt.Errorf("quel: unknown expression %T", e)
 	}
 }
 
 // colSlot resolves a column reference to (variable slot, attribute index).
-func (p *planner) colSlot(c ColRef) (int, int, error) {
-	slot, ok := p.varIdx[strings.ToLower(c.Var)]
+func (sc *scope) colSlot(c ColRef) (int, int, error) {
+	slot, ok := sc.varIdx[strings.ToLower(c.Var)]
 	if !ok {
 		return 0, 0, fmt.Errorf("quel: variable %q has no range declaration", c.Var)
 	}
-	ai, ok := p.rels[slot].Schema().Index(c.Attr)
+	ai, ok := sc.rels[slot].Schema().Index(c.Attr)
 	if !ok {
-		return 0, 0, fmt.Errorf("quel: relation %s has no attribute %q", p.rels[slot].Name(), c.Attr)
+		return 0, 0, fmt.Errorf("quel: relation %s has no attribute %q", sc.rels[slot].Name(), c.Attr)
 	}
 	return slot, ai, nil
 }
@@ -515,7 +504,7 @@ func splitConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-func (p *planner) analyse(e Expr) (*conjunct, error) {
+func (sc *scope) analyse(e Expr) (*conjunct, error) {
 	c := &conjunct{expr: e, lSlot: -1, rSlot: -1, slotsIn: map[int]bool{}}
 	var walk func(Expr) error
 	walk = func(e Expr) error {
@@ -523,7 +512,7 @@ func (p *planner) analyse(e Expr) (*conjunct, error) {
 		case *BinExpr:
 			for _, o := range []Operand{e.L, e.R} {
 				if col, ok := o.(ColOperand); ok {
-					slot, _, err := p.colSlot(col.Col)
+					slot, _, err := sc.colSlot(col.Col)
 					if err != nil {
 						return err
 					}
@@ -558,11 +547,11 @@ func (p *planner) analyse(e Expr) (*conjunct, error) {
 		rv, rIsConst := b.R.(ConstOperand)
 		switch {
 		case b.Op == "=" && lok && rok:
-			ls, la, err := p.colSlot(lc.Col)
+			ls, la, err := sc.colSlot(lc.Col)
 			if err != nil {
 				return nil, err
 			}
-			rs, ra, err := p.colSlot(rc.Col)
+			rs, ra, err := sc.colSlot(rc.Col)
 			if err != nil {
 				return nil, err
 			}
@@ -571,13 +560,13 @@ func (p *planner) analyse(e Expr) (*conjunct, error) {
 				c.lSlot, c.lAttr, c.rSlot, c.rAttr = ls, la, rs, ra
 			}
 		case lok && rIsConst:
-			slot, attr, err := p.colSlot(lc.Col)
+			slot, attr, err := sc.colSlot(lc.Col)
 			if err != nil {
 				return nil, err
 			}
 			c.isSel, c.selSlot, c.selAttr, c.selOp, c.selVal = true, slot, attr, b.Op, rv.Val
 		case rok && lIsConst:
-			slot, attr, err := p.colSlot(rc.Col)
+			slot, attr, err := sc.colSlot(rc.Col)
 			if err != nil {
 				return nil, err
 			}
@@ -618,11 +607,10 @@ type joinStep struct {
 }
 
 // scanPlan is the planned qualification evaluation: per-variable access
-// paths, a join order, and a residual filter. It is built once, lowered
-// to a streamSpec (stream.go), and that may run many times (prepared
-// statements re-run against the same snapshot).
+// paths, a join order, and a residual filter. It is built once and
+// lowered to an exec.Tree (stream.go), which may run many times
+// (prepared statements re-run against the same snapshot).
 type scanPlan struct {
-	p        *planner
 	paths    []accessPath // one per slot, in slot order
 	steps    []joinStep   // join order after seeding with slot 0
 	residual []*conjunct
@@ -642,15 +630,15 @@ func selectivity(est, preds int) int {
 // and a join order. Access paths are cost-based: every index-usable
 // selection on a slot is ranked by its exact index range count, and the
 // narrowest wins — not the first one that happens to have an index.
-func (p *planner) plan(where Expr) (*scanPlan, error) {
-	sp := &scanPlan{p: p}
-	n := len(p.vars)
+func (sc *scope) plan(where Expr) (*scanPlan, error) {
+	sp := &scanPlan{}
+	n := len(sc.vars)
 	if n == 0 {
 		return sp, nil
 	}
 	var conjs []*conjunct
 	for _, e := range splitConjuncts(where) {
-		c, err := p.analyse(e)
+		c, err := sc.analyse(e)
 		if err != nil {
 			return nil, err
 		}
@@ -673,12 +661,12 @@ func (p *planner) plan(where Expr) (*scanPlan, error) {
 				}
 			}
 		}
-		rel := p.rels[slot]
+		rel := sc.rels[slot]
 		best := -1
 		failCol := ""
 		for _, c := range sels {
 			col := rel.Schema().Col(c.selAttr).Name
-			ix, reason := p.sess.indexFor(rel, c.selAttr)
+			ix, reason := sc.pl.indexFor(rel, c.selAttr)
 			if ix == nil {
 				if reason != "" && ap.fallback == "" {
 					ap.fallback, failCol = reason, col
@@ -702,7 +690,7 @@ func (p *planner) plan(where Expr) (*scanPlan, error) {
 			ap.est = selectivity(best, len(ap.preds)-1)
 		} else {
 			if ap.fallback != "" {
-				p.sess.noteFallback(rel.Name(), failCol, ap.fallback)
+				sc.pl.noteFallback(rel.Name(), failCol, ap.fallback)
 			}
 			ap.est = selectivity(rel.Len(), len(ap.preds))
 		}
@@ -806,18 +794,18 @@ type targetInfo struct {
 }
 
 // resolveTargets resolves the statement's projection list against the
-// planner's variables and builds the output schema. It touches no rows.
-func resolveTargets(p *planner, st *RetrieveStmt) ([]targetInfo, *relation.Schema, error) {
+// scope's variables and builds the output schema. It touches no rows.
+func resolveTargets(sc *scope, st *RetrieveStmt) ([]targetInfo, *relation.Schema, error) {
 	infos := make([]targetInfo, len(st.Target))
 	usedNames := map[string]bool{}
 	for i, t := range st.Target {
-		slot, ai, err := p.colSlot(t.Col)
+		slot, ai, err := sc.colSlot(t.Col)
 		if err != nil {
 			return nil, nil, err
 		}
 		name := t.As
 		if name == "" {
-			name = p.rels[slot].Schema().Col(ai).Name
+			name = sc.rels[slot].Schema().Col(ai).Name
 		}
 		if usedNames[strings.ToLower(name)] {
 			name = t.Col.Var + "." + name
@@ -832,7 +820,7 @@ func resolveTargets(p *planner, st *RetrieveStmt) ([]targetInfo, *relation.Schem
 	for i, info := range infos {
 		cols[i] = relation.Column{
 			Name: info.name,
-			Type: p.rels[info.slot].Schema().Col(info.attr).Type,
+			Type: sc.rels[info.slot].Schema().Col(info.attr).Type,
 		}
 	}
 	schema, err := relation.NewSchema(cols...)
@@ -843,17 +831,17 @@ func resolveTargets(p *planner, st *RetrieveStmt) ([]targetInfo, *relation.Schem
 }
 
 // bindVars registers every range variable the statement mentions.
-func (p *planner) bindVars(st *RetrieveStmt) error {
+func (sc *scope) bindVars(st *RetrieveStmt) error {
 	for _, t := range st.Target {
-		if _, err := p.addVar(t.Col.Var); err != nil {
+		if _, err := sc.addVar(t.Col.Var); err != nil {
 			return err
 		}
 	}
-	if err := p.collectVars(st.Where); err != nil {
+	if err := sc.collectVars(st.Where); err != nil {
 		return err
 	}
 	for _, c := range st.SortBy {
-		if _, err := p.addVar(c.Col.Var); err != nil {
+		if _, err := sc.addVar(c.Col.Var); err != nil {
 			return err
 		}
 	}
@@ -863,45 +851,42 @@ func (p *planner) bindVars(st *RetrieveStmt) error {
 // RetrieveSchema resolves the statement's output schema — names and
 // types of the result columns — without planning access paths or
 // touching any rows. It is the cheap half of PlanRetrieve, used when the
-// semantic optimizer has already proven the result empty.
-func (s *Session) RetrieveSchema(st *RetrieveStmt) (*relation.Schema, error) {
-	p := newPlanner(s)
-	if err := p.bindVars(st); err != nil {
+// semantic optimizer has already proven the result empty. ranges maps
+// each lower-cased range variable to its relation's name.
+func (p *Planner) RetrieveSchema(st *RetrieveStmt, ranges map[string]string) (*relation.Schema, error) {
+	sc := p.newScope(ranges)
+	if err := sc.bindVars(st); err != nil {
 		return nil, err
 	}
-	_, schema, err := resolveTargets(p, st)
+	_, schema, err := resolveTargets(sc, st)
 	return schema, err
 }
 
 // RetrievePlan is a prepared retrieve: variables resolved, targets and
-// sort keys checked, access paths and join order chosen. Run may be
-// called any number of times; each run re-scans the underlying relations
-// through the plan. A RetrievePlan is only valid while the catalog
-// snapshot it was planned against is — callers caching plans must key
-// them by snapshot version.
+// sort keys checked, access paths and join order chosen, and the whole
+// lowered to one exec.Tree. Run may be called any number of times; each
+// run re-scans the underlying relations through the plan. A RetrievePlan
+// is only valid while the catalog snapshot it was planned against is —
+// callers caching plans must key them by snapshot version.
 type RetrievePlan struct {
-	sess   *Session
-	st     *RetrieveStmt
-	p      *planner
-	sp     *scanPlan
-	infos  []targetInfo
+	// Tree is the plan and the operator factory that executes it.
+	Tree   exec.Tree
 	schema *relation.Schema
-	keys   []relation.SortKey
-	ss     *streamSpec // lowered streaming pipeline (see stream.go)
 }
 
 // Schema returns the plan's output schema.
 func (rp *RetrievePlan) Schema() *relation.Schema { return rp.schema }
 
 // PlanRetrieve prepares a retrieve statement: resolves every variable,
-// target and sort key, chooses access paths cost-based, and fixes the
-// join order.
-func (s *Session) PlanRetrieve(st *RetrieveStmt) (*RetrievePlan, error) {
-	p := newPlanner(s)
-	if err := p.bindVars(st); err != nil {
+// target and sort key through ranges (lower-cased range variable →
+// relation name), chooses access paths cost-based, fixes the join
+// order, and lowers the result to an exec.Tree.
+func (p *Planner) PlanRetrieve(st *RetrieveStmt, ranges map[string]string) (*RetrievePlan, error) {
+	sc := p.newScope(ranges)
+	if err := sc.bindVars(st); err != nil {
 		return nil, err
 	}
-	infos, schema, err := resolveTargets(p, st)
+	infos, schema, err := resolveTargets(sc, st)
 	if err != nil {
 		return nil, err
 	}
@@ -910,7 +895,7 @@ func (s *Session) PlanRetrieve(st *RetrieveStmt) (*RetrievePlan, error) {
 		// Map the sort column to an output column: prefer a target on
 		// the same variable+attribute.
 		found := ""
-		slot, ai, err := p.colSlot(item.Col)
+		slot, ai, err := sc.colSlot(item.Col)
 		if err != nil {
 			return nil, err
 		}
@@ -925,29 +910,22 @@ func (s *Session) PlanRetrieve(st *RetrieveStmt) (*RetrievePlan, error) {
 		}
 		keys = append(keys, relation.SortKey{Column: found, Desc: item.Desc})
 	}
-	sp, err := p.plan(st.Where)
+	sp, err := sc.plan(st.Where)
 	if err != nil {
 		return nil, err
 	}
-	rp := &RetrievePlan{sess: s, st: st, p: p, sp: sp, infos: infos, schema: schema, keys: keys}
-	if err := rp.buildStream(); err != nil {
+	tree, err := sc.lower(sp, infos, schema, keys, st.Unique)
+	if err != nil {
 		return nil, err
 	}
-	return rp, nil
+	return &RetrievePlan{Tree: tree, schema: schema}, nil
 }
 
 // Describe renders the prepared retrieve as a typed plan tree — the
 // exact node objects the streaming operators execute, so the plan shown
 // cannot drift from the plan that runs.
 func (rp *RetrievePlan) Describe() plan.Node {
-	return rp.ss.root()
-}
-
-// Stream returns a fresh single-use operator tree for one execution of
-// the plan. The aggregate path wraps it; everyone else should call Run
-// or RunContext.
-func (rp *RetrievePlan) Stream() exec.Operator {
-	return rp.ss.instantiate()
+	return rp.Tree.Node
 }
 
 // Run executes the prepared retrieve through the streaming pipeline.
@@ -960,28 +938,30 @@ func (rp *RetrievePlan) Run() (*Result, error) {
 // call instantiates a fresh operator tree, so concurrent runs of one
 // prepared plan are safe.
 func (rp *RetrievePlan) RunContext(ctx context.Context) (*Result, error) {
-	rows, err := exec.Collect(ctx, rp.ss.instantiate(), rp.sp.est)
+	out, err := rp.Tree.Run(ctx, "result")
 	if err != nil {
 		return nil, err
-	}
-	name := rp.st.Into
-	if name == "" {
-		name = "result"
-	}
-	out := relation.FromRows(name, rp.schema, rows)
-	if rp.st.Into != "" {
-		if rp.sess.cat.Has(rp.st.Into) {
-			return nil, fmt.Errorf("quel: retrieve into %s: relation already exists", rp.st.Into)
-		}
-		rp.sess.cat.Put(out)
 	}
 	return &Result{Rel: out}, nil
 }
 
+// execRetrieve plans and runs a retrieve, storing the result in the
+// catalog for "retrieve into".
 func (s *Session) execRetrieve(ctx context.Context, st *RetrieveStmt) (*Result, error) {
-	rp, err := s.PlanRetrieve(st)
+	rp, err := s.p.PlanRetrieve(st, s.ranges)
 	if err != nil {
 		return nil, err
 	}
-	return rp.RunContext(ctx)
+	if st.Into == "" {
+		return rp.RunContext(ctx)
+	}
+	out, err := rp.Tree.Run(ctx, st.Into)
+	if err != nil {
+		return nil, err
+	}
+	if s.p.cat.Has(st.Into) {
+		return nil, fmt.Errorf("quel: retrieve into %s: relation already exists", st.Into)
+	}
+	s.p.cat.Put(out)
+	return &Result{Rel: out}, nil
 }

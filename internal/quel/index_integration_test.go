@@ -29,15 +29,15 @@ func bigCatalog(t *testing.T, n int) *storage.Catalog {
 // to a scan, and caches the index across statements.
 func TestIndexedSelection(t *testing.T) {
 	cat := bigCatalog(t, 500)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of b is BIG")
 
 	res := mustExec(t, s, "retrieve (b.K) where b.K = 250")
 	if res.Rel.Len() != 1 || !res.Rel.Row(0)[0].Equal(relation.Int(250)) {
 		t.Fatalf("point lookup = %v", res.Rel.Rows())
 	}
-	if s.cache.Len() != 1 {
-		t.Fatalf("index cache size = %d, want 1", s.cache.Len())
+	if s.p.cache.Len() != 1 {
+		t.Fatalf("index cache size = %d, want 1", s.p.cache.Len())
 	}
 
 	res = mustExec(t, s, "retrieve (b.K) where b.K >= 490")
@@ -50,8 +50,8 @@ func TestIndexedSelection(t *testing.T) {
 			t.Errorf("row %d = %v", i, row)
 		}
 	}
-	if s.cache.Len() != 1 {
-		t.Errorf("index cache size = %d, want 1 (reused)", s.cache.Len())
+	if s.p.cache.Len() != 1 {
+		t.Errorf("index cache size = %d, want 1 (reused)", s.p.cache.Len())
 	}
 
 	// A second condition on the same variable filters the index result.
@@ -71,7 +71,7 @@ func TestIndexedSelection(t *testing.T) {
 // stale index results.
 func TestIndexInvalidatedByMutation(t *testing.T) {
 	cat := bigCatalog(t, 200)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of b is BIG")
 	res := mustExec(t, s, "retrieve (b.K) where b.K = 150")
 	if res.Rel.Len() != 1 {
@@ -93,7 +93,7 @@ func TestIndexInvalidatedByMutation(t *testing.T) {
 // relation and cross-checks against relation.Select.
 func TestIndexedMatchesScanOnLargeData(t *testing.T) {
 	cat := bigCatalog(t, 300)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of b is BIG")
 	rel, _ := cat.Get("BIG")
 	for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {

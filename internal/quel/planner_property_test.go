@@ -243,7 +243,7 @@ func TestPlannerMatchesBruteForceProperty(t *testing.T) {
 		want := refEval(t, cat, ranges, st)
 
 		// Planner evaluation.
-		sess := NewSession(cat)
+		sess := NewSession(NewPlanner(cat, nil, nil))
 		for v, rel := range ranges {
 			if _, err := sess.ExecStmt(&RangeStmt{Var: v, Rel: rel}); err != nil {
 				t.Logf("range: %v", err)
@@ -323,7 +323,7 @@ func TestDeleteMatchesBruteForceProperty(t *testing.T) {
 
 		// Planner path.
 		catB := cat.Clone()
-		sess := NewSession(catB)
+		sess := NewSession(NewPlanner(catB, nil, nil))
 		for v, rel := range ranges {
 			if _, err := sess.ExecStmt(&RangeStmt{Var: v, Rel: rel}); err != nil {
 				return false

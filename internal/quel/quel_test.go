@@ -52,7 +52,7 @@ func mustExec(t *testing.T, s *Session, src string) *Result {
 }
 
 func TestRangeAndRetrieve(t *testing.T) {
-	s := NewSession(testCatalog(t))
+	s := NewSession(NewPlanner(testCatalog(t), nil, nil))
 	mustExec(t, s, "range of c is CLASS")
 	res := mustExec(t, s, "retrieve (c.Class, c.Type)")
 	if res.Rel.Len() != 5 {
@@ -64,7 +64,7 @@ func TestRangeAndRetrieve(t *testing.T) {
 }
 
 func TestRetrieveWhere(t *testing.T) {
-	s := NewSession(testCatalog(t))
+	s := NewSession(NewPlanner(testCatalog(t), nil, nil))
 	mustExec(t, s, "range of c is CLASS")
 	res := mustExec(t, s, `retrieve (c.Class) where c.Displacement > 8000`)
 	if res.Rel.Len() != 2 {
@@ -85,7 +85,7 @@ func TestRetrieveWhere(t *testing.T) {
 }
 
 func TestRetrieveUniqueSort(t *testing.T) {
-	s := NewSession(testCatalog(t))
+	s := NewSession(NewPlanner(testCatalog(t), nil, nil))
 	mustExec(t, s, "range of c is CLASS")
 	res := mustExec(t, s, "retrieve unique (c.Type) sort by c.Type")
 	if res.Rel.Len() != 2 {
@@ -100,7 +100,7 @@ func TestRetrieveUniqueSort(t *testing.T) {
 // retrieve into S unique (r.Y, r.X) sort by r.Y.
 func TestInductionStep1(t *testing.T) {
 	cat := testCatalog(t)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of r is CLASS")
 	res := mustExec(t, s, "retrieve into S unique (r.Type, r.Displacement) sort by r.Type")
 	if !cat.Has("S") {
@@ -133,7 +133,7 @@ func TestInductionStep2And3(t *testing.T) {
 	rel.MustInsert(relation.Int(2), relation.String("a"))
 	rel.MustInsert(relation.Int(2), relation.String("b"))
 
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of r is REL")
 	mustExec(t, s, "retrieve into S unique (r.Y, r.X) sort by r.Y")
 	mustExec(t, s, "range of s is S")
@@ -160,7 +160,7 @@ func TestInductionStep2And3(t *testing.T) {
 }
 
 func TestJoinAcrossRelations(t *testing.T) {
-	s := NewSession(testCatalog(t))
+	s := NewSession(NewPlanner(testCatalog(t), nil, nil))
 	mustExec(t, s, "range of sub is SUBMARINE")
 	mustExec(t, s, "range of c is CLASS")
 	res := mustExec(t, s, `retrieve (sub.Name, c.Type) where sub.Class = c.Class and c.Displacement > 8000`)
@@ -175,7 +175,7 @@ func TestJoinAcrossRelations(t *testing.T) {
 }
 
 func TestCrossProductWhenNoEdge(t *testing.T) {
-	s := NewSession(testCatalog(t))
+	s := NewSession(NewPlanner(testCatalog(t), nil, nil))
 	mustExec(t, s, "range of sub is SUBMARINE")
 	mustExec(t, s, "range of c is CLASS")
 	res := mustExec(t, s, "retrieve (sub.Id, c.Class)")
@@ -185,7 +185,7 @@ func TestCrossProductWhenNoEdge(t *testing.T) {
 }
 
 func TestTargetRenameAndCollision(t *testing.T) {
-	s := NewSession(testCatalog(t))
+	s := NewSession(NewPlanner(testCatalog(t), nil, nil))
 	mustExec(t, s, "range of sub is SUBMARINE")
 	mustExec(t, s, "range of c is CLASS")
 	res := mustExec(t, s, "retrieve (ShipClass = sub.Class, c.Class) where sub.Class = c.Class")
@@ -202,7 +202,7 @@ func TestTargetRenameAndCollision(t *testing.T) {
 
 func TestDeleteSingleVariable(t *testing.T) {
 	cat := testCatalog(t)
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of c is CLASS")
 	res := mustExec(t, s, `delete c where c.Type = "SSN"`)
 	if res.Deleted != 2 {
@@ -228,7 +228,7 @@ func TestQuotedAndBareConstants(t *testing.T) {
 	}
 	r.MustInsert(relation.String("BQS-04"))
 	r.MustInsert(relation.String("BQQ-2"))
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of x is SONAR")
 	res := mustExec(t, s, `retrieve (x.Sonar) where x.Sonar = "BQS-04"`)
 	if res.Rel.Len() != 1 {
@@ -241,7 +241,7 @@ func TestQuotedAndBareConstants(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	s := NewSession(testCatalog(t))
+	s := NewSession(NewPlanner(testCatalog(t), nil, nil))
 	bad := []string{
 		"range of x is NOPE",                 // unknown relation
 		"retrieve (x.Class)",                 // undeclared variable
@@ -294,7 +294,7 @@ func TestNumericConstants(t *testing.T) {
 	}
 	r.MustInsert(relation.Int(-5), relation.Float(1.5))
 	r.MustInsert(relation.Int(10), relation.Float(2.5))
-	s := NewSession(cat)
+	s := NewSession(NewPlanner(cat, nil, nil))
 	mustExec(t, s, "range of m is M")
 	if res := mustExec(t, s, "retrieve (m.N) where m.N = -5"); res.Rel.Len() != 1 {
 		t.Error("negative int constant")

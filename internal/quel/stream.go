@@ -9,13 +9,12 @@ import (
 	"intensional/internal/relation"
 )
 
-// This file lowers a scanPlan into the streaming operator pipeline. The
-// lowering happens once, at PlanRetrieve time: every plan.Plan node is
-// built here, wired into the tree Describe returns, and kept on the
-// spec that constructs the matching exec operator — so the plan EXPLAIN
-// shows and the tree that runs cannot drift. Each Run instantiates a
-// fresh single-use operator tree from the spec (prepared statements
-// execute concurrently; specs are immutable after planning).
+// This file lowers a scanPlan into one exec.Tree. The lowering happens
+// once, at PlanRetrieve time, in a single pass: every plan node is built
+// together with the factory of the operator that executes it, so the
+// plan EXPLAIN shows and the tree that runs cannot drift. Each Run
+// builds a fresh single-use operator tree from the factories (prepared
+// statements execute concurrently; a Tree is immutable once built).
 
 // rowValueFn evaluates an operand over a concatenated pipeline row.
 type rowValueFn func(relation.Tuple) relation.Value
@@ -25,7 +24,7 @@ type rowValueFn func(relation.Tuple) relation.Value
 // offs maps each variable slot to its column offset in the row; every
 // slot the expression touches must be bound (offset >= 0) by the time
 // the predicate runs.
-func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
+func (sc *scope) compileRow(e Expr, offs []int) (exec.Pred, error) {
 	switch e := e.(type) {
 	case *BinExpr:
 		// Column against constant, the common selection, reads the cell
@@ -37,7 +36,7 @@ func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
 		c, isCol := col.(ColOperand)
 		v, isConst := k.(ConstOperand)
 		if isCol && isConst {
-			off, err := p.colOffset(c.Col, offs)
+			off, err := sc.colOffset(c.Col, offs)
 			if err != nil {
 				return nil, err
 			}
@@ -51,11 +50,11 @@ func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
 				return err == nil && holds(n)
 			}, nil
 		}
-		l, err := p.compileRowOperand(e.L, offs)
+		l, err := sc.compileRowOperand(e.L, offs)
 		if err != nil {
 			return nil, err
 		}
-		r, err := p.compileRowOperand(e.R, offs)
+		r, err := sc.compileRowOperand(e.R, offs)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +69,7 @@ func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
 	case *AndExpr:
 		terms := make([]exec.Pred, len(e.Terms))
 		for i, t := range e.Terms {
-			c, err := p.compileRow(t, offs)
+			c, err := sc.compileRow(t, offs)
 			if err != nil {
 				return nil, err
 			}
@@ -87,7 +86,7 @@ func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
 	case *OrExpr:
 		terms := make([]exec.Pred, len(e.Terms))
 		for i, t := range e.Terms {
-			c, err := p.compileRow(t, offs)
+			c, err := sc.compileRow(t, offs)
 			if err != nil {
 				return nil, err
 			}
@@ -102,7 +101,7 @@ func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
 			return false
 		}, nil
 	case *NotExpr:
-		c, err := p.compileRow(e.Term, offs)
+		c, err := sc.compileRow(e.Term, offs)
 		if err != nil {
 			return nil, err
 		}
@@ -117,14 +116,14 @@ func (p *planner) compileRow(e Expr, offs []int) (exec.Pred, error) {
 // qualification compiler every retrieve uses, exported for callers that
 // scan a relation themselves (SQL DELETE and UPDATE).
 func CompileQual(v string, rel *relation.Relation, e Expr) (exec.Pred, error) {
-	p := &planner{vars: []string{v}, varIdx: map[string]int{strings.ToLower(v): 0}, rels: []*relation.Relation{rel}}
-	return p.compileRow(e, []int{0})
+	sc := &scope{vars: []string{v}, varIdx: map[string]int{strings.ToLower(v): 0}, rels: []*relation.Relation{rel}}
+	return sc.compileRow(e, []int{0})
 }
 
 // colOffset resolves a column reference to its position in the
 // concatenated pipeline row.
-func (p *planner) colOffset(c ColRef, offs []int) (int, error) {
-	slot, ai, err := p.colSlot(c)
+func (sc *scope) colOffset(c ColRef, offs []int) (int, error) {
+	slot, ai, err := sc.colSlot(c)
 	if err != nil {
 		return 0, err
 	}
@@ -134,10 +133,10 @@ func (p *planner) colOffset(c ColRef, offs []int) (int, error) {
 	return offs[slot] + ai, nil
 }
 
-func (p *planner) compileRowOperand(o Operand, offs []int) (rowValueFn, error) {
+func (sc *scope) compileRowOperand(o Operand, offs []int) (rowValueFn, error) {
 	switch o := o.(type) {
 	case ColOperand:
-		off, err := p.colOffset(o.Col, offs)
+		off, err := sc.colOffset(o.Col, offs)
 		if err != nil {
 			return nil, err
 		}
@@ -165,326 +164,200 @@ func combinePreds(preds []exec.Pred) exec.Pred {
 	}
 }
 
-// scanSpec is the compiled streaming form of one access path: the plan
-// leaf it executes, the optional pushed-down filter on top, and the
-// index bits when the planner chose an index.
-type scanSpec struct {
-	slot       int
-	rel        *relation.Relation
-	scanNode   plan.Node    // *plan.IndexScan or *plan.FullScan
-	filterNode *plan.Filter // nil when no extra predicates
-	pred       exec.Pred    // combined extra predicates; nil when none
-	// Index access path (nil ix means full scan):
-	ix      *relation.Index
-	op      string
-	val     relation.Value
-	selAttr int
-	// selPred re-checks the index condition; the scan consults it only
-	// when it degrades to a full scan.
-	selPred exec.Pred
-}
-
-// top returns the spec's plan subtree: the filter when present, else
-// the scan leaf.
-func (sc *scanSpec) top() plan.Node {
-	if sc.filterNode != nil {
-		return sc.filterNode
-	}
-	return sc.scanNode
-}
-
-// joinSpec binds one more variable into the pipeline: by hash join over
-// absolute key offsets, or by cross product when leftKey is empty.
-type joinSpec struct {
-	right    *scanSpec
-	leftKey  []int // offsets into the probe row
-	rightKey []int // attribute positions in the right relation
-	node     plan.Node
-	schema   *relation.Schema // concatenated pipeline schema after this join
-}
-
-// filterSpec is a compiled residual filter and its plan node.
-type filterSpec struct {
-	pred exec.Pred
-	node *plan.Filter
-}
-
-// streamSpec is the fully lowered retrieve: scan specs, join order,
-// residual filter, projection, and the plan tree assembled from exactly
-// the nodes the operators will execute.
-type streamSpec struct {
-	sess     *Session
-	dual     bool // zero range variables: emit one empty row
-	dualNode plan.Node
-	seed     *scanSpec
-	joins    []joinSpec
-	residual *filterSpec
-	projCols []int
-	projNode *plan.Project
-	schema   *relation.Schema // output schema
-	distinct *plan.Distinct   // nil unless retrieve unique
-	sortNode *plan.Sort       // nil unless sorted
-	sorts    []exec.SortSpec
-	est      int
-}
-
-// buildStream lowers the planned retrieve into a streamSpec, building
-// the plan tree as it goes. Called once from PlanRetrieve.
-func (rp *RetrievePlan) buildStream() error {
-	p, sp := rp.p, rp.sp
-	ss := &streamSpec{sess: p.sess, est: sp.est, schema: rp.schema}
-	n := len(p.vars)
-	var root plan.Node
-
-	// qual renders one slot's columns qualified as "var.attr" — slot
-	// names are unique, so the concatenated pipeline schema stays valid
-	// even when the same relation is ranged twice.
-	qual := func(slot int) []relation.Column {
-		sch := p.rels[slot].Schema()
-		out := make([]relation.Column, sch.Len())
-		for i := 0; i < sch.Len(); i++ {
-			c := sch.Col(i)
-			out[i] = relation.Column{Name: p.vars[slot] + "." + c.Name, Type: c.Type}
+// lower builds the retrieve's plan tree and its operator factories in
+// one pass, bottom-up: scan → filter → join → residual → project →
+// distinct → sort.
+func (sc *scope) lower(sp *scanPlan, infos []targetInfo, schema *relation.Schema, keys []relation.SortKey, unique bool) (exec.Tree, error) {
+	var t exec.Tree
+	projCols := make([]int, len(infos))
+	if n := len(sc.vars); n == 0 {
+		// Zero range variables: emit one empty row.
+		t = exec.Tree{
+			Node: &plan.FullScan{Relation: "dual", Est: 1},
+			New:  func() exec.Operator { return exec.NewValues(schema, []relation.Tuple{{}}) },
 		}
-		return out
-	}
-
-	if n == 0 {
-		ss.dual = true
-		ss.dualNode = &plan.FullScan{Relation: "dual", Est: 1}
-		root = ss.dualNode
 	} else {
 		offs := make([]int, n)
 		for i := range offs {
 			offs[i] = -1
 		}
-		seed, err := buildScanSpec(p, sp, &sp.paths[0])
-		if err != nil {
-			return err
+		var err error
+		if t, err = sc.scan(&sp.paths[0]); err != nil {
+			return exec.Tree{}, err
 		}
-		ss.seed = seed
-		root = seed.top()
 		offs[0] = 0
-		width := p.rels[0].Schema().Len()
-		pipeCols := qual(0)
-
+		width := sc.rels[0].Schema().Len()
+		pipeCols := sc.qualCols(0)
 		for _, step := range sp.steps {
-			right, err := buildScanSpec(p, sp, &sp.paths[step.next])
+			right, err := sc.scan(&sp.paths[step.next])
 			if err != nil {
-				return err
+				return exec.Tree{}, err
 			}
-			js := joinSpec{right: right}
+			var leftKey, rightKey []int
 			for _, e := range step.edges {
-				js.leftKey = append(js.leftKey, offs[e.boundSlot]+e.boundAttr)
-				js.rightKey = append(js.rightKey, e.nextAttr)
+				leftKey = append(leftKey, offs[e.boundSlot]+e.boundAttr)
+				rightKey = append(rightKey, e.nextAttr)
 			}
-			if len(step.edges) == 0 {
-				js.node = &plan.CrossJoin{Est: step.est, Left: root, Right: right.top()}
-			} else {
-				js.node = &plan.HashJoin{On: step.on, Est: step.est, Left: root, Right: right.top()}
-			}
-			root = js.node
 			offs[step.next] = width
-			width += p.rels[step.next].Schema().Len()
-			pipeCols = append(pipeCols, qual(step.next)...)
-			js.schema, err = relation.NewSchema(pipeCols...)
+			width += sc.rels[step.next].Schema().Len()
+			pipeCols = append(pipeCols, sc.qualCols(step.next)...)
+			joined, err := relation.NewSchema(pipeCols...)
 			if err != nil {
-				return err
+				return exec.Tree{}, err
 			}
-			ss.joins = append(ss.joins, js)
-		}
-
-		if len(sp.residual) > 0 {
-			conds := make([]string, len(sp.residual))
-			preds := make([]exec.Pred, len(sp.residual))
-			for i, c := range sp.residual {
-				conds[i] = c.label()
-				pred, err := p.compileRow(c.expr, offs)
-				if err != nil {
-					return err
+			left, build := t.New, right.New
+			if len(step.edges) == 0 {
+				t = exec.Tree{
+					Node: &plan.CrossJoin{Est: step.est, Left: t.Node, Right: right.Node},
+					New: func() exec.Operator {
+						return exec.NewCrossJoin(joined, left(), build())
+					},
 				}
-				preds[i] = pred
+			} else {
+				t = exec.Tree{
+					Node: &plan.HashJoin{On: step.on, Est: step.est, Left: t.Node, Right: right.Node},
+					New: func() exec.Operator {
+						return exec.NewHashJoin(joined, left(), build(), exec.KeyOf(leftKey), exec.KeyOf(rightKey))
+					},
+				}
 			}
-			node := &plan.Filter{Conds: conds, Est: sp.est, Input: root}
-			root = node
-			ss.residual = &filterSpec{pred: combinePreds(preds), node: node}
 		}
-
-		ss.projCols = make([]int, len(rp.infos))
-		for i, info := range rp.infos {
-			ss.projCols[i] = offs[info.slot] + info.attr
+		if len(sp.residual) > 0 {
+			if t, err = sc.filter(t, sp.residual, offs, sp.est); err != nil {
+				return exec.Tree{}, err
+			}
+		}
+		for i, info := range infos {
+			projCols[i] = offs[info.slot] + info.attr
 		}
 	}
 
-	cols := make([]plan.Column, rp.schema.Len())
-	for i := 0; i < rp.schema.Len(); i++ {
-		c := rp.schema.Col(i)
-		cols[i] = plan.Column{Name: c.Name, Type: c.Type.String()}
+	t = t.Wrap(&plan.Project{Cols: planSchema(schema), Est: sp.est, Input: t.Node},
+		func(in exec.Operator) exec.Operator { return exec.NewProject(schema, projCols, in) })
+	if unique {
+		t = t.Wrap(&plan.Distinct{Input: t.Node}, func(in exec.Operator) exec.Operator { return exec.NewDistinct(in) })
 	}
-	ss.projNode = &plan.Project{Cols: cols, Est: sp.est, Input: root}
-	root = ss.projNode
-	if rp.st.Unique {
-		ss.distinct = &plan.Distinct{Input: root}
-		root = ss.distinct
-	}
-	if len(rp.keys) > 0 {
-		keys := make([]string, len(rp.keys))
-		for i, k := range rp.keys {
-			keys[i] = k.Column
+	if len(keys) > 0 {
+		names := make([]string, len(keys))
+		specs := make([]exec.SortSpec, len(keys))
+		for i, k := range keys {
+			names[i] = k.Column
 			if k.Desc {
-				keys[i] += " desc"
+				names[i] += " desc"
 			}
-			ci, ok := rp.schema.Index(k.Column)
+			ci, ok := schema.Index(k.Column)
 			if !ok {
-				return fmt.Errorf("quel: internal: sort key %s not in output schema", k.Column)
+				return exec.Tree{}, fmt.Errorf("quel: internal: sort key %s not in output schema", k.Column)
 			}
-			ss.sorts = append(ss.sorts, exec.SortSpec{Col: ci, Desc: k.Desc})
+			specs[i] = exec.SortSpec{Col: ci, Desc: k.Desc}
 		}
-		ss.sortNode = &plan.Sort{Keys: keys, Input: root}
+		t = t.Wrap(&plan.Sort{Keys: names, Input: t.Node}, func(in exec.Operator) exec.Operator { return exec.NewSort(specs, in) })
 	}
-	rp.ss = ss
-	return nil
+	return t, nil
 }
 
-// root returns the plan tree Describe renders — assembled from the same
-// nodes the operator tree executes.
-func (ss *streamSpec) root() plan.Node {
-	if ss.sortNode != nil {
-		return ss.sortNode
+// qualCols renders one slot's columns qualified as "var.attr" — slot
+// names are unique, so the concatenated pipeline schema stays valid even
+// when the same relation is ranged twice.
+func (sc *scope) qualCols(slot int) []relation.Column {
+	sch := sc.rels[slot].Schema()
+	out := make([]relation.Column, sch.Len())
+	for i := 0; i < sch.Len(); i++ {
+		c := sch.Col(i)
+		out[i] = relation.Column{Name: sc.vars[slot] + "." + c.Name, Type: c.Type}
 	}
-	if ss.distinct != nil {
-		return ss.distinct
-	}
-	return ss.projNode
+	return out
 }
 
-// buildScanSpec compiles one access path: plan leaf node, pushed-down
-// filter, and row predicates. Index paths keep the selection out of the
-// filter (the index serves it exactly) but carry a compiled re-check
-// for fallback mode; full-scan paths filter on every pushed-down
-// predicate.
-func buildScanSpec(p *planner, sp *scanPlan, ap *accessPath) (*scanSpec, error) {
-	rel := p.rels[ap.slot]
-	sc := &scanSpec{slot: ap.slot, rel: rel}
+// filter tops t with a Filter over the conjuncts, compiled against the
+// pipeline offsets offs.
+func (sc *scope) filter(t exec.Tree, conjs []*conjunct, offs []int, est int) (exec.Tree, error) {
+	conds := make([]string, len(conjs))
+	preds := make([]exec.Pred, len(conjs))
+	for i, c := range conjs {
+		conds[i] = c.label()
+		pred, err := sc.compileRow(c.expr, offs)
+		if err != nil {
+			return exec.Tree{}, err
+		}
+		preds[i] = pred
+	}
+	pred := combinePreds(preds)
+	return t.Wrap(&plan.Filter{Conds: conds, Est: est, Input: t.Node},
+		func(in exec.Operator) exec.Operator { return exec.NewFilter(pred, in) }), nil
+}
+
+// scan lowers one access path: its scan leaf, wired to the planner's
+// index rebuilds and scan counters, under a Filter for the pushed-down
+// predicates it does not serve. An index path keeps its selection out of
+// the filter (the index serves it exactly) but carries a compiled
+// re-check for fallback mode; a full-scan path filters on every
+// pushed-down predicate.
+func (sc *scope) scan(ap *accessPath) (exec.Tree, error) {
+	pl, rel := sc.pl, sc.rels[ap.slot]
 
 	// Single-slot offsets: the scan's predicates run over the raw
 	// relation row, so this slot sits at offset 0.
-	offs := make([]int, len(p.vars))
+	offs := make([]int, len(sc.vars))
 	for i := range offs {
 		offs[i] = -1
 	}
 	offs[ap.slot] = 0
 
 	cols := planSchema(rel.Schema())
-	alias := p.vars[ap.slot]
-	var extra []*conjunct
+	alias := sc.vars[ap.slot]
+	var t exec.Tree
+	extra := ap.preds
 	if ap.ix != nil {
-		sc.ix = ap.ix
-		sc.op = ap.sel.selOp
-		sc.val = ap.sel.selVal
-		sc.selAttr = ap.sel.selAttr
-		sel, err := p.compileRow(ap.sel.expr, offs)
+		sel, err := sc.compileRow(ap.sel.expr, offs)
 		if err != nil {
-			return nil, err
+			return exec.Tree{}, err
 		}
-		sc.selPred = sel
-		sc.scanNode = &plan.IndexScan{
-			Relation: rel.Name(),
-			Binding:  alias,
-			Column:   rel.Schema().Col(ap.sel.selAttr).Name,
-			Op:       ap.sel.selOp,
-			Value:    ap.sel.selVal.GoString(),
-			Est:      selectivity(mustCount(ap), 0),
-			Cols:     cols,
-			Implied:  ap.sel.implied,
+		ix, attr, op, val := ap.ix, ap.sel.selAttr, ap.sel.selOp, ap.sel.selVal
+		col := rel.Schema().Col(attr).Name
+		hooks := exec.IndexScanHooks{
+			Rebuild: func() *relation.Index {
+				fresh, _ := pl.indexFor(rel, attr)
+				return fresh
+			},
+			OnIndexScan: pl.countIndexScan,
+			OnFullScan:  pl.countFullScan,
+			OnFallback:  func(reason string) { pl.noteFallback(rel.Name(), col, reason) },
 		}
+		t = exec.Tree{
+			Node: &plan.IndexScan{
+				Relation: rel.Name(),
+				Binding:  alias,
+				Column:   col,
+				Op:       op,
+				Value:    val.GoString(),
+				Est:      mustCount(ap),
+				Cols:     cols,
+				Implied:  ap.sel.implied,
+			},
+			New: func() exec.Operator { return exec.NewIndexScan(rel, ix, op, val, sel, hooks) },
+		}
+		extra = nil
 		for _, c := range ap.preds {
 			if c != ap.sel {
 				extra = append(extra, c)
 			}
 		}
 	} else {
-		sc.scanNode = &plan.FullScan{
-			Relation: rel.Name(),
-			Binding:  alias,
-			Est:      rel.Len(),
-			Cols:     cols,
-			Fallback: ap.fallback,
-		}
-		extra = ap.preds
-	}
-	if len(extra) > 0 {
-		conds := make([]string, len(extra))
-		preds := make([]exec.Pred, len(extra))
-		for i, c := range extra {
-			conds[i] = c.label()
-			pred, err := p.compileRow(c.expr, offs)
-			if err != nil {
-				return nil, err
-			}
-			preds[i] = pred
-		}
-		sc.pred = combinePreds(preds)
-		sc.filterNode = &plan.Filter{Conds: conds, Est: ap.est, Input: sc.scanNode}
-	}
-	return sc, nil
-}
-
-// scanOp instantiates one access path's operator subtree, wiring the
-// session's index-rebuild and scan-counter hooks.
-func (ss *streamSpec) scanOp(sc *scanSpec) exec.Operator {
-	sess := ss.sess
-	var op exec.Operator
-	if sc.ix != nil {
-		rel, attr := sc.rel, sc.selAttr
-		hooks := exec.IndexScanHooks{
-			Rebuild: func() *relation.Index {
-				ix, _ := sess.indexFor(rel, attr)
-				return ix
+		onOpen := pl.countFullScan
+		t = exec.Tree{
+			Node: &plan.FullScan{
+				Relation: rel.Name(),
+				Binding:  alias,
+				Est:      rel.Len(),
+				Cols:     cols,
+				Fallback: ap.fallback,
 			},
-			OnIndexScan: sess.countIndexScan,
-			OnFullScan:  sess.countFullScan,
-			OnFallback: func(reason string) {
-				sess.noteFallback(rel.Name(), rel.Schema().Col(attr).Name, reason)
-			},
-		}
-		op = exec.NewIndexScan(sc.scanNode, rel, sc.ix, sc.op, sc.val, sc.selPred, hooks)
-	} else {
-		op = exec.NewFullScan(sc.scanNode, sc.rel, sess.countFullScan)
-	}
-	if sc.pred != nil {
-		op = exec.NewFilter(sc.filterNode, sc.pred, op)
-	}
-	return op
-}
-
-// instantiate builds a fresh single-use operator tree for one run.
-func (ss *streamSpec) instantiate() exec.Operator {
-	var op exec.Operator
-	if ss.dual {
-		op = exec.NewValues(ss.dualNode, ss.schema, []relation.Tuple{{}})
-	} else {
-		op = ss.scanOp(ss.seed)
-		for i := range ss.joins {
-			j := &ss.joins[i]
-			right := ss.scanOp(j.right)
-			if len(j.leftKey) == 0 {
-				op = exec.NewCrossJoin(j.node, j.schema, op, right)
-			} else {
-				op = exec.NewHashJoin(j.node, j.schema, op, right,
-					exec.KeyOf(j.leftKey), exec.KeyOf(j.rightKey))
-			}
-		}
-		if ss.residual != nil {
-			op = exec.NewFilter(ss.residual.node, ss.residual.pred, op)
+			New: func() exec.Operator { return exec.NewFullScan(rel, onOpen) },
 		}
 	}
-	op = exec.NewProject(ss.projNode, ss.schema, ss.projCols, op)
-	if ss.distinct != nil {
-		op = exec.NewDistinct(ss.distinct, op)
+	if len(extra) == 0 {
+		return t, nil
 	}
-	if ss.sortNode != nil {
-		op = exec.NewSort(ss.sortNode, ss.sorts, op)
-	}
-	return op
+	return sc.filter(t, extra, offs, ap.est)
 }

@@ -12,22 +12,23 @@ import (
 // the shared IndexCache: entries used to be validated with Index.Fresh
 // alone but keyed by relation name only, so replacing a relation under
 // the same name left a cached index over the *old* object that still
-// looked fresh (the old object's version never moves again). A session
+// looked fresh (the old object's version never moves again). A planner
 // picking it up silently answered queries from the replaced data. The
 // cache must validate relation identity as well as freshness.
 func TestIndexCacheRejectsReplacedRelation(t *testing.T) {
 	cat := bigCatalog(t, 100) // K = 0..99, above the indexing threshold
-	cache := NewIndexCache()
+	pl := NewPlanner(cat, nil, nil)
+	ranges := map[string]string{"b": "BIG"}
 
-	s1 := NewSession(cat)
-	s1.SetIndexCache(cache)
-	mustExec(t, s1, "range of b is BIG")
-	res := mustExec(t, s1, "retrieve (b.K) where b.K = 50")
+	res, err := planOn(t, pl, ranges, "retrieve (b.K) where b.K = 50").Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Rel.Len() != 1 {
 		t.Fatalf("seed query: %d rows, want 1", res.Rel.Len())
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("index cache size = %d, want 1", cache.Len())
+	if pl.cache.Len() != 1 {
+		t.Fatalf("index cache size = %d, want 1", pl.cache.Len())
 	}
 
 	// Replace BIG wholesale: same name, different object, K = 100..199.
@@ -40,10 +41,10 @@ func TestIndexCacheRejectsReplacedRelation(t *testing.T) {
 	}
 	cat.Put(repl)
 
-	s2 := NewSession(cat)
-	s2.SetIndexCache(cache)
-	mustExec(t, s2, "range of b is BIG")
-	res = mustExec(t, s2, "retrieve (b.K) where b.K = 150")
+	res, err = planOn(t, pl, ranges, "retrieve (b.K) where b.K = 150").Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Rel.Len() != 1 || !res.Rel.Row(0)[0].Equal(relation.Int(150)) {
 		t.Fatalf("query against replaced relation = %v, want one row K=150 "+
 			"(a stale index over the old relation was served)", res.Rel.Rows())
@@ -58,13 +59,11 @@ func TestIndexCacheRejectsReplacedRelation(t *testing.T) {
 // through Counters.IndexFallbacks and the session log.
 func TestStreamingFallbackCountsAndLogs(t *testing.T) {
 	cat := bigCatalog(t, 100)
-	s := NewSession(cat)
 	var ctr Counters
-	s.SetCounters(&ctr)
 	var logs []string
-	s.SetLogf(func(format string, args ...any) {
+	s := NewSession(NewPlanner(cat, &ctr, func(format string, args ...any) {
 		logs = append(logs, fmt.Sprintf(format, args...))
-	})
+	}))
 	mustExec(t, s, "range of b is BIG")
 
 	rp := planFor(t, s, "retrieve (b.K) where b.K = 50")

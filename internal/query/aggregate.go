@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -12,73 +11,19 @@ import (
 	"intensional/internal/sqlparse"
 )
 
-// aggPlan is a prepared aggregate/GROUP BY SELECT: the paper's
+// prepareAggregate lowers an aggregate/GROUP BY SELECT — the paper's
 // introduction motivates summarised answers alongside intensional ones,
-// and grouped aggregates are the classic summarised form. The base rows
-// are produced by a prepared QUEL retrieve (or, when the semantic
-// optimizer proved the input empty, by no retrieve at all); grouping and
-// accumulation happen in runContext.
-type aggPlan struct {
-	sel *sqlparse.Select
-	// rp produces the base rows; nil when the input is provably empty,
-	// in which case baseSchema alone types the (empty) base.
-	rp          *quel.RetrievePlan
-	baseSchema  *relation.Schema
-	outSchema   *relation.Schema
-	emptyReason string
-	groupPos    []int // base positions of the GROUP BY columns
-	argPos      []int // per item: base position of the aggregate argument; -1 for COUNT(*) or plain
-	itemGroup   []int // per plain item: base position of its group column
-
-	// Lowered streaming form, built once at prepare time: the aggregate
-	// item specs and the plan node the Aggregate operator executes
-	// (node.Input is the base input's node, reused for the proven-empty
-	// source).
-	items []exec.AggItem
-	node  *plan.Aggregate
-	// sortNode and sorts order the groups for a grouped ORDER BY; nil
-	// without one.
-	sortNode *plan.Sort
-	sorts    []exec.SortSpec
-}
-
-// prepareAggregate validates the aggregate query, plans the base
-// retrieve (unless emptyReason marks the input provably empty), and
-// fixes both base and output schemas. The where expression is the
-// already-rewritten qualification.
-func (p *Processor) prepareAggregate(b *binder, sel *sqlparse.Select, where quel.Expr, emptyReason string) (*aggPlan, error) {
+// and grouped aggregates are the classic summarised form — into one
+// tree: the base retrieve (an Empty leaf when emptyReason marks the
+// input provably empty) under an Aggregate that materializes only the
+// per-group accumulators, under a Sort for a grouped ORDER BY. The where
+// expression is the already-rewritten qualification.
+func (p *Processor) prepareAggregate(b *binder, sel *sqlparse.Select, where quel.Expr, emptyReason string) (exec.Tree, error) {
 	if sel.Star {
-		return nil, fmt.Errorf("query: SELECT * cannot be combined with aggregates")
+		return exec.Tree{}, fmt.Errorf("query: SELECT * cannot be combined with aggregates")
 	}
 	if sel.Distinct {
-		return nil, fmt.Errorf("query: SELECT DISTINCT cannot be combined with aggregates")
-	}
-
-	// Every plain select item must appear in GROUP BY.
-	groupKey := map[string]bool{}
-	type colRef struct {
-		binding, col string
-	}
-	var groupCols []colRef
-	for _, g := range sel.GroupBy {
-		binding, col, _, err := b.resolve(g.Table, g.Column)
-		if err != nil {
-			return nil, err
-		}
-		groupCols = append(groupCols, colRef{binding, col})
-		groupKey[strings.ToLower(binding+"."+col)] = true
-	}
-	for _, it := range sel.Items {
-		if it.Agg != "" {
-			continue
-		}
-		binding, col, _, err := b.resolve(it.Col.Table, it.Col.Column)
-		if err != nil {
-			return nil, err
-		}
-		if !groupKey[strings.ToLower(binding+"."+col)] {
-			return nil, fmt.Errorf("query: column %s must appear in GROUP BY", it.Col)
-		}
+		return exec.Tree{}, fmt.Errorf("query: SELECT DISTINCT cannot be combined with aggregates")
 	}
 
 	// Base retrieve: group columns first, then aggregate arguments.
@@ -92,35 +37,43 @@ func (p *Processor) prepareAggregate(b *binder, sel *sqlparse.Select, where quel
 		baseCols++
 		return baseCols - 1
 	}
-	ap := &aggPlan{sel: sel, emptyReason: emptyReason}
-	ap.groupPos = make([]int, len(groupCols))
-	for i, g := range groupCols {
-		ap.groupPos[i] = addTarget(g.binding, g.col)
-	}
-	ap.argPos = make([]int, len(sel.Items))
-	ap.itemGroup = make([]int, len(sel.Items))
-	for i, it := range sel.Items {
-		ap.argPos[i] = -1
-		if it.Agg == "" {
-			binding, col, _, err := b.resolve(it.Col.Table, it.Col.Column)
-			if err != nil {
-				return nil, err
-			}
-			for gi, g := range groupCols {
-				if strings.EqualFold(g.binding, binding) && strings.EqualFold(g.col, col) {
-					ap.itemGroup[i] = ap.groupPos[gi]
-				}
-			}
-			continue
+	groupPos := make([]int, len(sel.GroupBy))
+	groupKey := map[string]int{} // lower(binding.col) → base position
+	for i, g := range sel.GroupBy {
+		binding, col, _, err := b.resolve(g.Table, g.Column)
+		if err != nil {
+			return exec.Tree{}, err
 		}
-		if it.Star {
+		groupPos[i] = addTarget(binding, col)
+		groupKey[strings.ToLower(binding+"."+col)] = groupPos[i]
+	}
+	// Every plain select item must appear in GROUP BY.
+	itemGroup := make([]int, len(sel.Items)) // per plain item: base position of its group column
+	for i, it := range sel.Items {
+		if it.Agg != "" {
 			continue
 		}
 		binding, col, _, err := b.resolve(it.Col.Table, it.Col.Column)
 		if err != nil {
-			return nil, err
+			return exec.Tree{}, err
 		}
-		ap.argPos[i] = addTarget(binding, col)
+		pos, ok := groupKey[strings.ToLower(binding+"."+col)]
+		if !ok {
+			return exec.Tree{}, fmt.Errorf("query: column %s must appear in GROUP BY", it.Col)
+		}
+		itemGroup[i] = pos
+	}
+	argPos := make([]int, len(sel.Items)) // base position of the aggregate argument; -1 for COUNT(*) or plain
+	for i, it := range sel.Items {
+		argPos[i] = -1
+		if it.Agg == "" || it.Star {
+			continue
+		}
+		binding, col, _, err := b.resolve(it.Col.Table, it.Col.Column)
+		if err != nil {
+			return exec.Tree{}, err
+		}
+		argPos[i] = addTarget(binding, col)
 	}
 	if baseCols == 0 {
 		// COUNT(*) alone with no GROUP BY: fetch any column to count rows.
@@ -129,22 +82,9 @@ func (p *Processor) prepareAggregate(b *binder, sel *sqlparse.Select, where quel
 		addTarget(name, schema.Col(0).Name)
 	}
 	st.Where = where
-
-	sess, err := p.session(b)
+	base, baseSchema, err := p.retrieve(b, st, emptyReason)
 	if err != nil {
-		return nil, err
-	}
-	if emptyReason != "" {
-		ap.baseSchema, err = sess.RetrieveSchema(st)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		ap.rp, err = sess.PlanRetrieve(st)
-		if err != nil {
-			return nil, err
-		}
-		ap.baseSchema = ap.rp.Schema()
+		return exec.Tree{}, err
 	}
 
 	// Output schema.
@@ -154,47 +94,41 @@ func (p *Processor) prepareAggregate(b *binder, sel *sqlparse.Select, where quel
 		switch {
 		case it.Agg == "":
 			// type of the underlying group column
-			t = ap.baseSchema.Col(ap.itemGroup[i]).Type
+			t = baseSchema.Col(itemGroup[i]).Type
 		case it.Agg == "AVG":
 			t = relation.TFloat
 		case it.Agg == "SUM", it.Agg == "MIN", it.Agg == "MAX":
 			if !it.Star {
-				t = ap.baseSchema.Col(ap.argPos[i]).Type
+				t = baseSchema.Col(argPos[i]).Type
 			}
 		}
 		cols[i] = relation.Column{Name: it.Label(), Type: t}
 	}
-	ap.outSchema, err = relation.NewSchema(cols...)
+	outSchema, err := relation.NewSchema(cols...)
 	if err != nil {
-		return nil, err
+		return exec.Tree{}, err
 	}
 
-	// Lower the items to streaming aggregate specs and fix the plan node
-	// the Aggregate operator will execute.
-	ap.items = make([]exec.AggItem, len(sel.Items))
+	// Lower the items to streaming aggregate specs and top the base with
+	// the Aggregate that executes them.
+	aggs := make([]exec.AggItem, len(sel.Items))
 	for i, it := range sel.Items {
 		switch it.Agg {
 		case "":
-			ap.items[i] = exec.AggItem{Kind: exec.AggGroup, Arg: ap.itemGroup[i]}
+			aggs[i] = exec.AggItem{Kind: exec.AggGroup, Arg: itemGroup[i]}
 		case "COUNT":
-			ap.items[i] = exec.AggItem{Kind: exec.AggCount, Arg: ap.argPos[i]}
+			aggs[i] = exec.AggItem{Kind: exec.AggCount, Arg: argPos[i]}
 		case "SUM":
-			ap.items[i] = exec.AggItem{Kind: exec.AggSum, Arg: ap.argPos[i]}
+			aggs[i] = exec.AggItem{Kind: exec.AggSum, Arg: argPos[i]}
 		case "AVG":
-			ap.items[i] = exec.AggItem{Kind: exec.AggAvg, Arg: ap.argPos[i]}
+			aggs[i] = exec.AggItem{Kind: exec.AggAvg, Arg: argPos[i]}
 		case "MIN":
-			ap.items[i] = exec.AggItem{Kind: exec.AggMin, Arg: ap.argPos[i]}
+			aggs[i] = exec.AggItem{Kind: exec.AggMin, Arg: argPos[i]}
 		case "MAX":
-			ap.items[i] = exec.AggItem{Kind: exec.AggMax, Arg: ap.argPos[i]}
+			aggs[i] = exec.AggItem{Kind: exec.AggMax, Arg: argPos[i]}
 		default:
-			return nil, fmt.Errorf("query: unsupported aggregate %q", it.Agg)
+			return exec.Tree{}, fmt.Errorf("query: unsupported aggregate %q", it.Agg)
 		}
-	}
-	var input plan.Node
-	if ap.rp == nil {
-		input = &plan.Empty{Reason: emptyReason, Cols: planColumns(ap.baseSchema)}
-	} else {
-		input = ap.rp.Describe()
 	}
 	items := make([]string, len(sel.Items))
 	for i, it := range sel.Items {
@@ -206,63 +140,53 @@ func (p *Processor) prepareAggregate(b *binder, sel *sqlparse.Select, where quel
 	}
 	est := 1
 	if len(groupBy) > 0 {
-		est = input.EstRows()
+		est = base.Node.EstRows()
 	}
-	ap.node = &plan.Aggregate{
+	t := base.Wrap(&plan.Aggregate{
 		Items:   items,
 		GroupBy: groupBy,
 		Est:     est,
-		Cols:    planColumns(ap.outSchema),
-		Input:   input,
+		Cols:    planColumns(outSchema),
+		Input:   base.Node,
+	}, func(in exec.Operator) exec.Operator { return exec.NewAggregate(outSchema, groupPos, aggs, in) })
+	if len(sel.OrderBy) == 0 {
+		return t, nil
 	}
 
-	// A grouped ORDER BY names output columns by label; it sorts the
-	// groups the Aggregate emits.
-	if len(sel.OrderBy) > 0 {
-		keys := make([]string, len(sel.OrderBy))
-		for i, o := range sel.OrderBy {
-			ci, ok := ap.outSchema.Index(o.Col.Column)
-			if !ok {
-				return nil, fmt.Errorf("query: ORDER BY %s: not an output column of the grouped query", o.Col.Column)
+	// A grouped ORDER BY sorts the groups the Aggregate emits. An
+	// unqualified key names an output column by label; a qualified one
+	// names a GROUP BY column, resolved through the binder, that the
+	// query selects.
+	keys := make([]string, len(sel.OrderBy))
+	sorts := make([]exec.SortSpec, len(sel.OrderBy))
+	for i, o := range sel.OrderBy {
+		ci, ok := outSchema.Index(o.Col.Column)
+		if o.Col.Table != "" {
+			binding, col, _, err := b.resolve(o.Col.Table, o.Col.Column)
+			if err != nil {
+				return exec.Tree{}, err
 			}
-			keys[i] = ap.outSchema.Col(ci).Name
-			if o.Desc {
-				keys[i] += " desc"
+			pos, grouped := groupKey[strings.ToLower(binding+"."+col)]
+			if !grouped {
+				return exec.Tree{}, fmt.Errorf("query: ORDER BY %s: column must appear in GROUP BY", o.Col)
 			}
-			ap.sorts = append(ap.sorts, exec.SortSpec{Col: ci, Desc: o.Desc})
+			ci, ok = -1, false
+			for ii, it := range sel.Items {
+				if it.Agg == "" && itemGroup[ii] == pos {
+					ci, ok = ii, true
+					break
+				}
+			}
 		}
-		ap.sortNode = &plan.Sort{Keys: keys, Input: ap.node}
+		if !ok {
+			return exec.Tree{}, fmt.Errorf("query: ORDER BY %s: not an output column of the grouped query", o.Col)
+		}
+		keys[i] = outSchema.Col(ci).Name
+		if o.Desc {
+			keys[i] += " desc"
+		}
+		sorts[i] = exec.SortSpec{Col: ci, Desc: o.Desc}
 	}
-	return ap, nil
-}
-
-// describe renders the aggregate plan tree — the node objects the
-// streaming operators execute.
-func (ap *aggPlan) describe() plan.Node {
-	if ap.sortNode != nil {
-		return ap.sortNode
-	}
-	return ap.node
-}
-
-// runContext executes the prepared aggregate through the streaming
-// pipeline: the base retrieve streams into an Aggregate operator, which
-// materializes only the per-group accumulators, and a grouped ORDER BY
-// sorts the groups.
-func (ap *aggPlan) runContext(ctx context.Context) (*relation.Relation, error) {
-	var src exec.Operator
-	if ap.rp == nil {
-		src = exec.NewEmpty(ap.node.Input, ap.baseSchema)
-	} else {
-		src = ap.rp.Stream()
-	}
-	var op exec.Operator = exec.NewAggregate(ap.node, ap.outSchema, ap.groupPos, ap.items, src)
-	if ap.sortNode != nil {
-		op = exec.NewSort(ap.sortNode, ap.sorts, op)
-	}
-	rows, err := exec.Collect(ctx, op, ap.node.Est)
-	if err != nil {
-		return nil, err
-	}
-	return relation.FromRows("result", ap.outSchema, rows), nil
+	return t.Wrap(&plan.Sort{Keys: keys, Input: t.Node},
+		func(in exec.Operator) exec.Operator { return exec.NewSort(sorts, in) }), nil
 }

@@ -11,8 +11,8 @@ import (
 // test bed — per-type class counts and displacement ranges, which is
 // Table 1's shape computed by SQL instead of induction.
 func TestGroupByTypeSummary(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, an, err := p.Run(`
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, an, err := run(p, `
 		SELECT Type, COUNT(*), MIN(Displacement), MAX(Displacement), AVG(Displacement)
 		FROM CLASS GROUP BY Type ORDER BY Type`)
 	if err != nil {
@@ -42,8 +42,8 @@ func TestGroupByTypeSummary(t *testing.T) {
 }
 
 func TestAggregateNoGroupBy(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, _, err := p.Run(`SELECT COUNT(*), SUM(Displacement) FROM CLASS WHERE Type = "SSBN"`)
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, _, err := run(p, `SELECT COUNT(*), SUM(Displacement) FROM CLASS WHERE Type = "SSBN"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func TestAggregateNoGroupBy(t *testing.T) {
 }
 
 func TestAggregateEmptyInput(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, _, err := p.Run(`SELECT COUNT(*), MIN(Displacement) FROM CLASS WHERE Displacement > 999999`)
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, _, err := run(p, `SELECT COUNT(*), MIN(Displacement) FROM CLASS WHERE Displacement > 999999`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 		t.Errorf("row = %v", rel.Row(0))
 	}
 	// Grouped aggregates over empty input produce zero groups.
-	rel, _, err = p.Run(`SELECT Type, COUNT(*) FROM CLASS WHERE Displacement > 999999 GROUP BY Type`)
+	rel, _, err = run(p, `SELECT Type, COUNT(*) FROM CLASS WHERE Displacement > 999999 GROUP BY Type`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestCountColumnSkipsNulls(t *testing.T) {
 	cat := shipdb.Catalog()
 	cls, _ := cat.Get("CLASS")
 	cls.MustInsert(relation.String("9999"), relation.Null(), relation.String("SSN"), relation.Null())
-	p := New(cat)
-	rel, _, err := p.Run(`SELECT COUNT(*), COUNT(Displacement) FROM CLASS`)
+	p := New(cat, nil, nil)
+	rel, _, err := run(p, `SELECT COUNT(*), COUNT(Displacement) FROM CLASS`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestCountColumnSkipsNulls(t *testing.T) {
 }
 
 func TestAggregateWithJoinAndAlias(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, _, err := p.Run(`
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, _, err := run(p, `
 		SELECT CLASS.Type, COUNT(*) AS ships
 		FROM SUBMARINE, CLASS
 		WHERE SUBMARINE.Class = CLASS.Class
@@ -130,8 +130,8 @@ func TestAvgOverFloats(t *testing.T) {
 	r.MustInsert(relation.String("a"), relation.Float(1.5))
 	r.MustInsert(relation.String("a"), relation.Float(2.5))
 	cat.Put(r)
-	p := New(cat)
-	rel, _, err := p.Run(`SELECT G, AVG(F), SUM(F) FROM M GROUP BY G`)
+	p := New(cat, nil, nil)
+	rel, _, err := run(p, `SELECT G, AVG(F), SUM(F) FROM M GROUP BY G`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestAvgOverFloats(t *testing.T) {
 }
 
 func TestAggregateErrors(t *testing.T) {
-	p := New(shipdb.Catalog())
+	p := New(shipdb.Catalog(), nil, nil)
 	bad := []string{
 		`SELECT Class, COUNT(*) FROM CLASS`,              // Class not grouped
 		`SELECT * FROM CLASS GROUP BY Type`,              // star with grouping
@@ -153,7 +153,7 @@ func TestAggregateErrors(t *testing.T) {
 		`SELECT MIN(Type FROM CLASS`,                     // unterminated call
 	}
 	for _, sql := range bad {
-		if _, _, err := p.Run(sql); err == nil {
+		if _, _, err := run(p, sql); err == nil {
 			t.Errorf("Run(%q): expected error", sql)
 		}
 	}
@@ -161,8 +161,8 @@ func TestAggregateErrors(t *testing.T) {
 
 func TestGroupByWithoutAggregates(t *testing.T) {
 	// GROUP BY alone acts as DISTINCT over the group columns.
-	p := New(shipdb.Catalog())
-	rel, _, err := p.Run(`SELECT Type FROM CLASS GROUP BY Type`)
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, _, err := run(p, `SELECT Type FROM CLASS GROUP BY Type`)
 	if err != nil {
 		t.Fatal(err)
 	}

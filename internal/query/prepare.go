@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"intensional/internal/exec"
 	"intensional/internal/plan"
 	"intensional/internal/quel"
 	"intensional/internal/relation"
@@ -74,13 +75,11 @@ type Prepared struct {
 	// statement was prepared without a Rewriter.
 	Rewrites *Rewrites
 
-	applied     []plan.Rewrite
-	emptyReason string
-
-	// Exactly one execution path is set:
-	empty *relation.Schema   // proven-empty SELECT: schema only, no scan
-	rp    *quel.RetrievePlan // plain SELECT
-	agg   *aggPlan           // aggregate / GROUP BY SELECT
+	applied []plan.Rewrite
+	// tree is the statement's plan and the operator factory that runs
+	// it: a planned retrieve, wrapped in Aggregate and Sort for a grouped
+	// query, or an Empty leaf when the answer is proven empty.
+	tree exec.Tree
 }
 
 // Prepare parses, analyses, optionally rewrites, and plans a SELECT.
@@ -110,42 +109,28 @@ func (p *Processor) PrepareSelect(sql string, sel *sqlparse.Select, rewriter Rew
 		}
 	}
 	prep := &Prepared{SQL: sql, Analysis: an, Rewrites: rw}
-	isAgg := sel.HasAggregates() || len(sel.GroupBy) > 0
-
+	var where quel.Expr
+	emptyReason := ""
 	if rw != nil && rw.Empty {
-		// Provably empty: plan a schema-only execution that touches no
+		// Provably empty: the tree gets an Empty leaf that touches no
 		// rows. Aggregates still fold over the (empty) input — a grand
 		// total without GROUP BY produces its one row.
 		reasons := make([]string, len(rw.Because))
 		for i, why := range rw.Because {
 			reasons[i] = "no stored value satisfies " + why.String()
 		}
-		prep.emptyReason = strings.Join(reasons, "; ")
-		prep.applied = append(prep.applied, plan.Rewrite{Kind: "empty", Detail: prep.emptyReason})
-		if isAgg {
-			prep.agg, err = p.prepareAggregate(b, sel, nil, prep.emptyReason)
-			return prep, err
-		}
-		st, err := buildRetrieve(b, sel)
-		if err != nil {
+		emptyReason = strings.Join(reasons, "; ")
+		prep.applied = append(prep.applied, plan.Rewrite{Kind: "empty", Detail: emptyReason})
+	} else {
+		var recs []plan.Rewrite
+		if where, recs, err = lowerWhere(b, sel, an, rw); err != nil {
 			return nil, err
 		}
-		sess, err := p.session(b)
-		if err != nil {
-			return nil, err
-		}
-		prep.empty, err = sess.RetrieveSchema(st)
-		return prep, err
+		prep.applied = append(prep.applied, recs...)
 	}
 
-	where, recs, err := lowerWhere(b, sel, an, rw)
-	if err != nil {
-		return nil, err
-	}
-	prep.applied = append(prep.applied, recs...)
-
-	if isAgg {
-		prep.agg, err = p.prepareAggregate(b, sel, where, "")
+	if sel.HasAggregates() || len(sel.GroupBy) > 0 {
+		prep.tree, err = p.prepareAggregate(b, sel, where, emptyReason)
 		return prep, err
 	}
 	st, err := buildRetrieve(b, sel)
@@ -153,12 +138,30 @@ func (p *Processor) PrepareSelect(sql string, sel *sqlparse.Select, rewriter Rew
 		return nil, err
 	}
 	st.Where = where
-	sess, err := p.session(b)
-	if err != nil {
-		return nil, err
-	}
-	prep.rp, err = sess.PlanRetrieve(st)
+	prep.tree, _, err = p.retrieve(b, st, emptyReason)
 	return prep, err
+}
+
+// retrieve plans st over the binder's tables into a tree and returns the
+// tree's output schema. When emptyReason records a proof that the answer
+// is empty, the tree is an Empty leaf typed with that schema: it plans
+// no access path, builds no index, and scans nothing.
+func (p *Processor) retrieve(b *binder, st *quel.RetrieveStmt, emptyReason string) (exec.Tree, *relation.Schema, error) {
+	if emptyReason == "" {
+		rp, err := p.pl.PlanRetrieve(st, b.tables)
+		if err != nil {
+			return exec.Tree{}, nil, err
+		}
+		return rp.Tree, rp.Schema(), nil
+	}
+	schema, err := p.pl.RetrieveSchema(st, b.tables)
+	if err != nil {
+		return exec.Tree{}, nil, err
+	}
+	return exec.Tree{
+		Node: &plan.Empty{Reason: emptyReason, Cols: planColumns(schema)},
+		New:  func() exec.Operator { return exec.NewEmpty(schema) },
+	}, schema, nil
 }
 
 // Run executes the prepared statement through the streaming pipeline.
@@ -171,33 +174,13 @@ func (pr *Prepared) Run() (*relation.Relation, error) {
 // cancelled context stops a long scan mid-stream; a proven-empty
 // statement scans zero batches of anything.
 func (pr *Prepared) RunContext(ctx context.Context) (*relation.Relation, error) {
-	switch {
-	case pr.empty != nil:
-		return relation.New("result", pr.empty), nil
-	case pr.agg != nil:
-		return pr.agg.runContext(ctx)
-	default:
-		res, err := pr.rp.RunContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return res.Rel, nil
-	}
+	return pr.tree.Run(ctx, "result")
 }
 
 // Describe renders the prepared statement as a typed plan with its
 // semantic rewrites.
 func (pr *Prepared) Describe() *plan.Plan {
-	var root plan.Node
-	switch {
-	case pr.empty != nil:
-		root = &plan.Empty{Reason: pr.emptyReason, Cols: planColumns(pr.empty)}
-	case pr.agg != nil:
-		root = pr.agg.describe()
-	default:
-		root = pr.rp.Describe()
-	}
-	return &plan.Plan{SQL: pr.SQL, Root: root, Rewrites: pr.applied}
+	return &plan.Plan{SQL: pr.SQL, Root: pr.tree.Node, Rewrites: pr.applied}
 }
 
 // lowerWhere lowers the WHERE clause with the rewrites applied: conjuncts

@@ -62,59 +62,20 @@ type Analysis struct {
 	Conjunctive bool
 }
 
-// Processor executes SQL queries against a catalog.
+// Processor executes SQL queries against one catalog snapshot through
+// that snapshot's one planner, which owns its secondary indexes: an
+// index built for one statement serves every later statement prepared
+// on the same processor.
 type Processor struct {
-	cat      *storage.Catalog
-	cache    *quel.IndexCache
-	counters *quel.Counters
-	logf     func(format string, args ...any)
+	cat *storage.Catalog
+	pl  *quel.Planner
 }
 
-// New creates a processor over the catalog.
-func New(cat *storage.Catalog) *Processor { return &Processor{cat: cat} }
-
-// UseIndexCache shares one secondary-index cache across every session
-// the processor spawns. Without it each query builds indexes from
-// scratch: the executor creates a fresh QUEL session per statement, so a
-// per-session cache never survives long enough to help. The cache must
-// only outlive one immutable snapshot of the catalog.
-func (p *Processor) UseIndexCache(c *quel.IndexCache) { p.cache = c }
-
-// UseCounters wires all sessions' planner decisions to shared counters.
-func (p *Processor) UseCounters(c *quel.Counters) { p.counters = c }
-
-// UseLogf installs a logger for planner diagnostics.
-func (p *Processor) UseLogf(f func(format string, args ...any)) { p.logf = f }
-
-// session creates a QUEL session with the processor's cache and counters
-// attached and the binder's range variables declared.
-func (p *Processor) session(b *binder) (*quel.Session, error) {
-	sess := quel.NewSession(p.cat)
-	if p.cache != nil {
-		sess.SetIndexCache(p.cache)
-	}
-	if p.counters != nil {
-		sess.SetCounters(p.counters)
-	}
-	if p.logf != nil {
-		sess.SetLogf(p.logf)
-	}
-	for _, name := range b.bindings {
-		if err := sess.SetRange(name, b.tables[strings.ToLower(name)]); err != nil {
-			return nil, err
-		}
-	}
-	return sess, nil
-}
-
-// Run parses and executes the query, returning the extensional answer and
-// the structural analysis.
-func (p *Processor) Run(sql string) (*relation.Relation, *Analysis, error) {
-	sel, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.RunSelect(sel)
+// New creates a processor over the catalog whose planner tallies its
+// access paths in counters and logs diagnostics through logf; either may
+// be nil.
+func New(cat *storage.Catalog, counters *quel.Counters, logf func(format string, args ...any)) *Processor {
+	return &Processor{cat: cat, pl: quel.NewPlanner(cat, counters, logf)}
 }
 
 // binder resolves table bindings and column references for one query.
@@ -181,19 +142,6 @@ func (b *binder) resolve(table, column string) (binding, col, relName string, er
 	default:
 		return "", "", "", fmt.Errorf("query: column %q is ambiguous (in %s)", column, strings.Join(found, ", "))
 	}
-}
-
-// RunSelect executes a parsed SELECT.
-func (p *Processor) RunSelect(sel *sqlparse.Select) (*relation.Relation, *Analysis, error) {
-	prep, err := p.PrepareSelect("", sel, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	rel, err := prep.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	return rel, prep.Analysis, nil
 }
 
 // buildRetrieve lowers the SELECT's projection and ordering onto a QUEL

@@ -1,10 +1,13 @@
 package query
 
 import (
+	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"intensional/internal/quel"
 	"intensional/internal/relation"
 	"intensional/internal/shipdb"
 	"intensional/internal/storage"
@@ -29,6 +32,17 @@ const (
 		AND SUBMARINE.ID = INSTALL.SHIP
 		AND INSTALL.SONAR = "BQS-04"`
 )
+
+// run prepares sql as written and executes it, returning the extensional
+// answer with the query's analysis.
+func run(p *Processor, sql string) (*relation.Relation, *Analysis, error) {
+	prep, err := p.Prepare(sql, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	rel, err := prep.Run()
+	return rel, prep.Analysis, err
+}
 
 func rowsAsStrings(r *relation.Relation) []string {
 	out := make([]string, r.Len())
@@ -60,8 +74,8 @@ func expectRows(t *testing.T, got *relation.Relation, want []string) {
 // TestExample1Extensional reproduces the paper's Example 1 extensional
 // answer exactly.
 func TestExample1Extensional(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, an, err := p.Run(Example1SQL)
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, an, err := run(p, Example1SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +103,8 @@ func TestExample1Extensional(t *testing.T) {
 
 // TestExample2Extensional reproduces Example 2's seven SSBN ships.
 func TestExample2Extensional(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, an, err := p.Run(Example2SQL)
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, an, err := run(p, Example2SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +124,8 @@ func TestExample2Extensional(t *testing.T) {
 
 // TestExample3Extensional reproduces Example 3's four BQS-04 ships.
 func TestExample3Extensional(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, an, err := p.Run(Example3SQL)
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, an, err := run(p, Example3SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +144,15 @@ func TestExample3Extensional(t *testing.T) {
 }
 
 func TestSelectStarAndDistinct(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, _, err := p.Run("SELECT * FROM TYPE")
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, _, err := run(p, "SELECT * FROM TYPE")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Len() != 2 || rel.Schema().Len() != 2 {
 		t.Errorf("SELECT * FROM TYPE: %d rows, %d cols", rel.Len(), rel.Schema().Len())
 	}
-	rel, _, err = p.Run("SELECT DISTINCT TYPE FROM CLASS")
+	rel, _, err = run(p, "SELECT DISTINCT TYPE FROM CLASS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,15 +162,15 @@ func TestSelectStarAndDistinct(t *testing.T) {
 }
 
 func TestOrderBy(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, _, err := p.Run("SELECT Class, Displacement FROM CLASS ORDER BY Displacement DESC")
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, _, err := run(p, "SELECT Class, Displacement FROM CLASS ORDER BY Displacement DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Row(0)[0].Str() != "1301" {
 		t.Errorf("first row %v, want class 1301 (30000 tons)", rel.Row(0))
 	}
-	rel, _, err = p.Run("SELECT Class FROM CLASS ORDER BY Class ASC")
+	rel, _, err = run(p, "SELECT Class FROM CLASS ORDER BY Class ASC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +180,8 @@ func TestOrderBy(t *testing.T) {
 }
 
 func TestAliasesAndUnqualified(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, an, err := p.Run(`SELECT s.Name, c.Type FROM SUBMARINE s, CLASS c
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, an, err := run(p, `SELECT s.Name, c.Type FROM SUBMARINE s, CLASS c
 		WHERE s.Class = c.Class AND Displacement > 8000`)
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +199,8 @@ func TestAliasesAndUnqualified(t *testing.T) {
 }
 
 func TestColumnAlias(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, _, err := p.Run("SELECT Class AS ShipClass FROM CLASS")
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, _, err := run(p, "SELECT Class AS ShipClass FROM CLASS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,27 +210,27 @@ func TestColumnAlias(t *testing.T) {
 }
 
 func TestAmbiguousAndUnknownColumns(t *testing.T) {
-	p := New(shipdb.Catalog())
-	if _, _, err := p.Run("SELECT Class FROM SUBMARINE, CLASS WHERE SUBMARINE.Class = CLASS.Class"); err == nil {
+	p := New(shipdb.Catalog(), nil, nil)
+	if _, _, err := run(p, "SELECT Class FROM SUBMARINE, CLASS WHERE SUBMARINE.Class = CLASS.Class"); err == nil {
 		t.Error("ambiguous unqualified column should error")
 	}
-	if _, _, err := p.Run("SELECT Nope FROM CLASS"); err == nil {
+	if _, _, err := run(p, "SELECT Nope FROM CLASS"); err == nil {
 		t.Error("unknown column should error")
 	}
-	if _, _, err := p.Run("SELECT X.Class FROM CLASS"); err == nil {
+	if _, _, err := run(p, "SELECT X.Class FROM CLASS"); err == nil {
 		t.Error("unknown table qualifier should error")
 	}
-	if _, _, err := p.Run("SELECT Class FROM NOPE"); err == nil {
+	if _, _, err := run(p, "SELECT Class FROM NOPE"); err == nil {
 		t.Error("unknown table should error")
 	}
-	if _, _, err := p.Run("SELECT Class FROM CLASS, CLASS"); err == nil {
+	if _, _, err := run(p, "SELECT Class FROM CLASS, CLASS"); err == nil {
 		t.Error("duplicate binding should error")
 	}
 }
 
 func TestNonConjunctiveAnalysis(t *testing.T) {
-	p := New(shipdb.Catalog())
-	_, an, err := p.Run(`SELECT Class FROM CLASS WHERE Type = "SSBN" OR Displacement > 8000`)
+	p := New(shipdb.Catalog(), nil, nil)
+	_, an, err := run(p, `SELECT Class FROM CLASS WHERE Type = "SSBN" OR Displacement > 8000`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +240,8 @@ func TestNonConjunctiveAnalysis(t *testing.T) {
 }
 
 func TestFlippedLiteralComparison(t *testing.T) {
-	p := New(shipdb.Catalog())
-	rel, an, err := p.Run("SELECT Class FROM CLASS WHERE 8000 < Displacement")
+	p := New(shipdb.Catalog(), nil, nil)
+	rel, an, err := run(p, "SELECT Class FROM CLASS WHERE 8000 < Displacement")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +254,8 @@ func TestFlippedLiteralComparison(t *testing.T) {
 }
 
 func TestNotEqualRestrictionHasNoInterval(t *testing.T) {
-	p := New(shipdb.Catalog())
-	_, an, err := p.Run(`SELECT Class FROM CLASS WHERE Type != "SSN"`)
+	p := New(shipdb.Catalog(), nil, nil)
+	_, an, err := run(p, `SELECT Class FROM CLASS WHERE Type != "SSN"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +268,84 @@ func TestNotEqualRestrictionHasNoInterval(t *testing.T) {
 }
 
 func TestEmptyCatalogProcessor(t *testing.T) {
-	p := New(storage.NewCatalog())
-	if _, _, err := p.Run("SELECT a FROM b"); err == nil {
+	p := New(storage.NewCatalog(), nil, nil)
+	if _, _, err := run(p, "SELECT a FROM b"); err == nil {
 		t.Error("query on empty catalog should error")
 	}
-	if _, _, err := p.Run("garbage"); err == nil {
+	if _, _, err := run(p, "garbage"); err == nil {
 		t.Error("unparseable query should error")
+	}
+}
+
+// bigCatalog holds BIG(K, G) with K = 0..199, above the size at which
+// the planner indexes a selective condition.
+func bigCatalog() *storage.Catalog {
+	big := relation.New("BIG", relation.MustSchema(
+		relation.Column{Name: "K", Type: relation.TInt},
+		relation.Column{Name: "G", Type: relation.TInt},
+	))
+	for i := 0; i < 200; i++ {
+		big.MustInsert(relation.Int(int64(i)), relation.Int(int64(i%7)))
+	}
+	cat := storage.NewCatalog()
+	cat.Put(big)
+	return cat
+}
+
+// TestProcessorSharesIndexes: statements prepared on one processor plan
+// through its one planner, so an index one statement builds serves the
+// next — one cache entry, two index scans.
+func TestProcessorSharesIndexes(t *testing.T) {
+	var c quel.Counters
+	p := New(bigCatalog(), &c, nil)
+	for _, sql := range []string{
+		"SELECT K FROM BIG WHERE K = 42",
+		"SELECT G FROM BIG WHERE K = 7",
+	} {
+		rel, _, err := run(p, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if rel.Len() != 1 {
+			t.Errorf("%s: %d rows, want 1", sql, rel.Len())
+		}
+	}
+	if n := p.pl.IndexCache().Len(); n != 1 {
+		t.Errorf("index cache holds %d entries, want 1", n)
+	}
+	if n := c.IndexScans.Load(); n != 2 {
+		t.Errorf("IndexScans = %d, want 2", n)
+	}
+}
+
+// TestProcessorConcurrentPrepare: one processor's planner serves
+// concurrent Prepare and Run calls; every run is counted and all of them
+// share one index.
+func TestProcessorConcurrentPrepare(t *testing.T) {
+	var c quel.Counters
+	p := New(bigCatalog(), &c, nil)
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sql := fmt.Sprintf("SELECT G FROM BIG WHERE K = %d", w)
+			rel, _, err := run(p, sql)
+			if err != nil {
+				t.Errorf("%s: %v", sql, err)
+				return
+			}
+			if rel.Len() != 1 || rel.Row(0)[0].Int64() != int64(w%7) {
+				t.Errorf("%s: rows %v", sql, rel.Rows())
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := p.pl.IndexCache().Len(); n != 1 {
+		t.Errorf("index cache holds %d entries, want 1", n)
+	}
+	if n := c.IndexScans.Load(); n != workers {
+		t.Errorf("IndexScans = %d, want %d", n, workers)
 	}
 }

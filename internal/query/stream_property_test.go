@@ -156,7 +156,7 @@ func TestStreamingMatchesNaive(t *testing.T) {
 		}
 		want := sortedKeys(naiveSelect(t, cat, sel))
 
-		prep, err := query.New(cat).Prepare(sql, nil)
+		prep, err := query.New(cat, nil, nil).Prepare(sql, nil)
 		if err != nil {
 			t.Logf("seed %d: prepare %q: %v", seed, sql, err)
 			return false

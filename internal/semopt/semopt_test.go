@@ -25,16 +25,16 @@ func shipSetup(t *testing.T) (*dict.Dictionary, *query.Processor) {
 		t.Fatal(err)
 	}
 	d.SetRules(set)
-	return d, query.New(cat)
+	return d, query.New(cat, nil, nil)
 }
 
 func analyse(t *testing.T, d *dict.Dictionary, q *query.Processor, sql string) *query.Rewrites {
 	t.Helper()
-	_, an, err := q.Run(sql)
+	prep, err := q.Prepare(sql, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := semopt.Analyze(an, d)
+	rep, err := semopt.Analyze(prep.Analysis, d)
 	if err != nil {
 		t.Fatal(err)
 	}
