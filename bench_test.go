@@ -8,6 +8,9 @@ package intensional_test
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"intensional"
@@ -19,6 +22,7 @@ import (
 	"intensional/internal/query"
 	"intensional/internal/relation"
 	"intensional/internal/rules"
+	"intensional/internal/server"
 	"intensional/internal/shipdb"
 	"intensional/internal/storage"
 	"intensional/internal/synth"
@@ -521,6 +525,29 @@ func BenchmarkPreparedHit(b *testing.B) {
 		if _, err := sys.Prepare(example1SQL); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkQueryServedHit measures POST /query for a repeated Example 1
+// statement through the server's whole middleware stack: the response
+// and its encoded body are both cached, so this is the per-request cost
+// of serving stored bytes.
+func BenchmarkQueryServedHit(b *testing.B) {
+	h := server.New(inducedShipSystem(b), server.Options{}).Handler()
+	body := fmt.Sprintf(`{"sql":%q,"mode":"combined"}`, example1SQL)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	// The first request encodes the body, the second stores it.
+	serve()
+	serve()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }
 

@@ -46,11 +46,13 @@ func NormalizeSQL(sql string) string {
 
 // stmt is one statement's entry in a snapshot's cache: the plan, the one
 // inference result its rewrites were advised from, and, once queried,
-// the extensional answer (executed at most once, whatever the mode) and
-// a response per answer mode sharing both.
+// the extensional answer (executed at most once, whatever the mode), a
+// response per answer mode sharing both, and the responses' encoded
+// bodies.
 type stmt struct {
-	prep *query.Prepared
-	inf  *infer.Result
+	prep   *query.Prepared
+	inf    *infer.Result
+	bodies *bodyMemo
 
 	mu   sync.Mutex
 	ext  *relation.Relation        // guarded by mu
@@ -86,9 +88,59 @@ func (st *stmt) respond(ctx context.Context, version uint64, mode answer.Mode) (
 		Analysis:    st.prep.Analysis,
 		Inference:   st.inf,
 		Intensional: answer.Render(st.prep.Analysis, st.inf, mode),
+		bodies:      st.bodies,
 	}
 	st.resp[mode] = r
 	return r, nil
+}
+
+// bodyKey names one encoded body of a statement: the response's answer
+// mode and the caller's key for the encoding.
+type bodyKey struct {
+	mode answer.Mode
+	key  string
+}
+
+// bodyMemo holds a statement's encoded response bodies. A body is stored
+// the second time its key is requested; the first request only marks
+// the key, so a statement that is never repeated pins no bytes.
+type bodyMemo struct {
+	mu sync.Mutex
+	m  map[bodyKey][]byte // guarded by mu; nil marks a key requested once
+}
+
+// get returns the stored body for k, or encodes it. Encoding runs
+// outside the lock; concurrent requests for one key may each encode,
+// and any of their identical results may be the one kept.
+func (b *bodyMemo) get(k bodyKey, encode func() ([]byte, error)) ([]byte, error) {
+	b.mu.Lock()
+	data, seen := b.m[k]
+	if !seen {
+		b.m[k] = nil
+	}
+	b.mu.Unlock()
+	if data != nil {
+		return data, nil
+	}
+	data, err := encode()
+	if err != nil || !seen {
+		return data, err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.m[k] = data
+	return data, nil
+}
+
+// size is the total length of the stored bodies.
+func (b *bodyMemo) size() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var n int64
+	for _, data := range b.m {
+		n += int64(len(data))
+	}
+	return n
 }
 
 // stmtCache holds one snapshot's statements, keyed by normalized SQL. It
@@ -128,6 +180,17 @@ func (c *stmtCache) len() int {
 	return len(c.m)
 }
 
+// bodyBytes is the total length of the encoded bodies the cache holds.
+func (c *stmtCache) bodyBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int64
+	for _, st := range c.m {
+		n += st.bodies.size()
+	}
+	return n
+}
+
 // prepare returns the snapshot's entry for a normalized statement,
 // planning it on first use. It is the serving path's one inference call:
 // the rewriter hook derives the result, advises the rewrites from it, and
@@ -144,7 +207,10 @@ func (s *System) prepare(sn *snapshot, key string) (*stmt, error) {
 		return st, nil
 	}
 	s.planMisses.Add(1)
-	st := &stmt{resp: make(map[answer.Mode]*Response)}
+	st := &stmt{
+		resp:   make(map[answer.Mode]*Response),
+		bodies: &bodyMemo{m: make(map[bodyKey][]byte)},
+	}
 	prep, err := sn.q.Prepare(key, func(an *query.Analysis) (*query.Rewrites, error) {
 		res, err := sn.inf.Derive(an)
 		if err != nil {
@@ -205,17 +271,22 @@ type PlannerStats struct {
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 	CachedPlans     int
+	// CachedBodyBytes is the total length of the encoded response bodies
+	// the current snapshot's cache holds (see Response.Body).
+	CachedBodyBytes int64
 }
 
 // PlannerStats reports the planner counters and prepared-statement
 // cache state.
 func (s *System) PlannerStats() PlannerStats {
+	sn := s.current()
 	return PlannerStats{
 		FullScans:       s.counters.FullScans.Load(),
 		IndexScans:      s.counters.IndexScans.Load(),
 		IndexFallbacks:  s.counters.IndexFallbacks.Load(),
 		PlanCacheHits:   s.planHits.Load(),
 		PlanCacheMisses: s.planMisses.Load(),
-		CachedPlans:     s.current().stmts.len(),
+		CachedPlans:     sn.stmts.len(),
+		CachedBodyBytes: sn.stmts.bodyBytes(),
 	}
 }

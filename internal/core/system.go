@@ -273,6 +273,20 @@ type Response struct {
 	Analysis    *query.Analysis
 	Inference   *infer.Result
 	Intensional *answer.Answer
+
+	bodies *bodyMemo // the statement's encoded bodies; nil outside the cache
+}
+
+// Body returns the response's encoded body for key, calling encode to
+// produce it. A response served from the statement cache keeps the body
+// from the second request for a key on, for as long as its cache entry
+// lives; any other response encodes every time. The caller must give
+// each distinct encoding of a response its own key.
+func (r *Response) Body(key string, encode func() ([]byte, error)) ([]byte, error) {
+	if r.bodies == nil {
+		return encode()
+	}
+	return r.bodies.get(bodyKey{r.Intensional.Mode, key}, encode)
 }
 
 // Query executes a SQL query, returning both answer forms. mode selects

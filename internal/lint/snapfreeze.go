@@ -24,9 +24,10 @@ import (
 // statement runs), quel.RetrievePlan/scanPlan/accessPath (a planned
 // retrieve and the access paths it is lowered from), and core.Response
 // / core.snapshot (the cached responses and the snapshot chain).
-// Internally-locked caches hanging off a snapshot (stmtCache and its
-// stmt entries, IndexCache) are the sanctioned mutable leaves and are
-// deliberately not frozen — lockguard owns their contracts.
+// Internally-locked caches hanging off a snapshot (stmtCache, its stmt
+// entries and their bodyMemo of encoded response bodies, IndexCache) are
+// the sanctioned mutable leaves and are deliberately not frozen —
+// lockguard owns their contracts.
 //
 // The pass reports:
 //
@@ -252,8 +253,8 @@ func mutationSummaries(g *CallGraph, freshRet map[*types.Func]bool) map[*types.F
 // it is frozen. Writing `p.Cols[i]` mutates the plan p (the []string is
 // anonymous memory of the plan); writing `sn.stmts.m[k]` mutates the
 // stmtCache, not the snapshot — the chain hits a named, non-frozen type
-// first, and those (stmtCache, stmt, IndexCache, Catalog, the query
-// Processor) are the sanctioned internally-locked mutable leaves
+// first, and those (stmtCache, stmt, bodyMemo, IndexCache, Catalog, the
+// query Processor) are the sanctioned internally-locked mutable leaves
 // whose contracts lockguard owns.
 func frozenWriteBase(pkg *Package, e ast.Expr) (*types.Named, bool) {
 	for {

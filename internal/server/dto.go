@@ -48,6 +48,9 @@ type plannerJSON struct {
 	// PlanCacheHitRate is hits/(hits+misses); 0 before any preparation.
 	PlanCacheHitRate float64 `json:"planCacheHitRate"`
 	CachedPlans      int     `json:"cachedPlans"`
+	// CachedBodyBytes is the total length of the /query bodies the
+	// current snapshot's statement cache holds, read when /metrics is.
+	CachedBodyBytes int64 `json:"cachedBodyBytes"`
 }
 
 // induceRequest is the POST /induce body, mirroring induct.Options.
@@ -313,13 +316,11 @@ func descriptionToJSON(d infer.Description) descriptionJSON {
 	}
 }
 
-// toQueryJSON projects a core.Response onto the wire shape. mode is
-// echoed back as the client sent it (normalised to "combined" when
-// empty); wantExt/wantInt select the sections.
+// toQueryJSON projects a core.Response onto the wire shape. mode is the
+// canonical mode name parseMode returns, echoed back as is, so the
+// encoded body is a function of the response and mode alone;
+// wantExt/wantInt select the sections.
 func toQueryJSON(resp *core.Response, mode string, wantExt, wantInt bool) queryResponse {
-	if mode == "" {
-		mode = "combined"
-	}
 	out := queryResponse{
 		Version:     resp.Version,
 		Mode:        mode,

@@ -10,7 +10,7 @@ import (
 // bucketBoundsMS are the latency histogram upper bounds in milliseconds;
 // an implicit final bucket catches everything slower. Chosen to resolve
 // both cached sub-millisecond queries and multi-second inductions.
-var bucketBoundsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
+var bucketBoundsMS = []float64{0.1, 0.25, 0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // endpointMetrics accumulates one endpoint's counters. All fields are
 // guarded by the owning metrics registry's lock.

@@ -134,6 +134,28 @@ func TestMutateRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestMutateRejectsTrailingBody: a body holding a second statement
+// object after the first is refused whole — nothing is applied.
+func TestMutateRejectsTrailingBody(t *testing.T) {
+	_, ts := newTestServer(t, server.Options{})
+	var before, after sysMetricsWire
+	getJSON(t, ts.URL+"/metrics", &before)
+	body := `{"sql":"INSERT INTO SUBMARINE VALUES ('SSN995', 'First', '0204')"}` +
+		` {"sql":"DELETE FROM SONAR"}`
+	resp, err := http.Post(ts.URL+"/mutate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status = %d, want 400", resp.StatusCode)
+	}
+	getJSON(t, ts.URL+"/metrics", &after)
+	if after.System.Version != before.System.Version {
+		t.Errorf("version moved %d → %d on a refused body", before.System.Version, after.System.Version)
+	}
+}
+
 // TestMutateStaleRuleLifecycle walks the documented operator session:
 // a contradicting insert marks the rule stale, /rules shows it with its
 // counterexample, no query mode serves it, and /maintain re-inducts it

@@ -204,12 +204,15 @@ func (s *Server) Handler() http.Handler {
 // tiny, so anything larger is a client error.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON reads a JSON request body into dst.
+// decodeJSON reads a JSON request body, exactly one value, into dst.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("invalid request body: data after the JSON value")
 	}
 	return nil
 }
@@ -221,6 +224,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, status, data)
+}
+
+// writeBody writes an encoded JSON body as the response with the given
+// status.
+func writeBody(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if _, err := w.Write(data); err != nil {
@@ -238,22 +247,22 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
 }
 
-// parseMode maps the request's mode string to the inference direction
-// and the response sections to include.
-func parseMode(mode string) (m answer.Mode, wantExt, wantInt bool, err error) {
-	switch strings.ToLower(strings.TrimSpace(mode)) {
+// parseMode maps the request's mode string to its canonical name, the
+// inference direction, and the response sections to include.
+func parseMode(mode string) (canon string, m answer.Mode, wantExt, wantInt bool, err error) {
+	switch canon = strings.ToLower(strings.TrimSpace(mode)); canon {
 	case "", "combined":
-		return answer.Combined, true, true, nil
+		return "combined", answer.Combined, true, true, nil
 	case "extensional":
-		return answer.Combined, true, false, nil
+		return canon, answer.Combined, true, false, nil
 	case "intensional":
-		return answer.Combined, false, true, nil
+		return canon, answer.Combined, false, true, nil
 	case "forward":
-		return answer.ForwardOnly, true, true, nil
+		return canon, answer.ForwardOnly, true, true, nil
 	case "backward":
-		return answer.BackwardOnly, true, true, nil
+		return canon, answer.BackwardOnly, true, true, nil
 	default:
-		return 0, false, false, fmt.Errorf("unknown mode %q (want extensional, intensional, combined, forward, or backward)", mode)
+		return "", 0, false, false, fmt.Errorf("unknown mode %q (want extensional, intensional, combined, forward, or backward)", mode)
 	}
 }
 
@@ -281,7 +290,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing sql")
 		return
 	}
-	mode, wantExt, wantInt, err := parseMode(req.Mode)
+	canon, mode, wantExt, wantInt, err := parseMode(req.Mode)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -315,7 +324,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, toQueryJSON(resp, req.Mode, wantExt, wantInt))
+	// The body is a function of the response and the canonical mode, so
+	// a repeated statement is served as the bytes stored on its entry.
+	data, err := resp.Body(canon, func() ([]byte, error) {
+		return json.Marshal(toQueryJSON(resp, canon, wantExt, wantInt))
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "response encoding failed")
+		return
+	}
+	writeBody(w, http.StatusOK, data)
 }
 
 // handleExplain prepares (and caches) the statement exactly as /query
@@ -725,6 +743,7 @@ func (s *Server) plannerMetrics() plannerJSON {
 		PlanCacheHits:         st.PlanCacheHits,
 		PlanCacheMisses:       st.PlanCacheMisses,
 		CachedPlans:           st.CachedPlans,
+		CachedBodyBytes:       st.CachedBodyBytes,
 	}
 	if total := st.PlanCacheHits + st.PlanCacheMisses; total > 0 {
 		out.PlanCacheHitRate = float64(st.PlanCacheHits) / float64(total)

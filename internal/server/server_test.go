@@ -180,6 +180,8 @@ func TestBadRequestBodies(t *testing.T) {
 		{"unknown field", `{"sql":"SELECT 1","bogus":true}`},
 		{"missing sql", `{}`},
 		{"unknown mode", fmt.Sprintf(`{"sql":%q,"mode":"sideways"}`, forwardQuery)},
+		{"second object", fmt.Sprintf(`{"sql":%q} {"sql":"DROP"}`, forwardQuery)},
+		{"trailing garbage", fmt.Sprintf(`{"sql":%q}xyz`, forwardQuery)},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(tc.body))
