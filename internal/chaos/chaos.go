@@ -202,11 +202,13 @@ func mutate(sys *core.System, rng *rand.Rand, logf func(string, ...any), i int, 
 		}
 		if rng.Intn(8) == 0 {
 			// Maintenance under fault: a failure here only matters if it
-			// breaks an invariant, which recovery checks.
+			// breaks an invariant, which recovery checks. A pass that
+			// installs is checked live against the data it ran over.
 			if _, err := sys.Maintain(ctx, induct.Options{Nc: 3}); err != nil {
 				rep.Refused++
 				return
 			}
+			checkRules(sys, i, rep)
 		}
 		if rng.Intn(10) == 0 {
 			rep.Checkpoint++
@@ -294,24 +296,33 @@ func checkMarkers(sys *core.System, i int, markers *markerSet, rep *Report) {
 	}
 }
 
-// checkRules asserts the soundness invariant: no rule the recovered
-// system would serve has a counterexample among its own rows. Only
-// single-relation rules are row-checkable without a join; that covers
-// every rule the ship fixture induces.
+// checkRules records a violation of iteration i for each line
+// Contradicted reports.
 func checkRules(sys *core.System, i int, rep *Report) {
+	for _, v := range Contradicted(sys) {
+		rep.Violations = append(rep.Violations, fmt.Sprintf("iteration %d: %s", i, v))
+	}
+}
+
+// Contradicted checks the soundness invariant: no rule the system
+// serves has a counterexample among its own rows. It returns one line
+// per violating rule. Only single-relation rules are row-checkable
+// without a join; that covers every rule the ship fixture induces.
+func Contradicted(sys *core.System) []string {
 	full, maint, _ := sys.RuleStatus()
+	var out []string
 	for _, r := range full.Rules() {
 		if maint.Info(r.ID).Status == maintainStale {
 			continue // withheld from inference; allowed to be contradicted
 		}
 		if v := ruleCounterexample(sys, r); v != "" {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("iteration %d: serving rule %d (%s) contradicted: %s", i, r.ID, r, v))
+			out = append(out, fmt.Sprintf("serving rule %d (%s) contradicted: %s", r.ID, r, v))
 		}
 	}
+	return out
 }
 
-// maintainStale aliases the status constant so checkRules reads plainly.
+// maintainStale aliases the status constant so Contradicted reads plainly.
 const maintainStale = maintain.Stale
 
 // ruleCounterexample scans the rule's relation for a row satisfying

@@ -7,7 +7,8 @@
 // keep the snapshot they loaded; a rule contradicted by a mutation is
 // withheld from the new snapshot's inference rule set the instant the
 // snapshot installs, so no query ever sees a contradicted rule served
-// as valid.
+// as valid. Rule installs (Induce, Maintain) commit through the same
+// step, commitLocked, so every snapshot version is one WAL record.
 //
 // Checkpointing composes the WAL with the atomic Save: the catalog
 // (which contains every logged mutation) is atomically written first,
@@ -26,8 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 
-	"intensional/internal/dict"
 	"intensional/internal/fault"
 	"intensional/internal/induct"
 	"intensional/internal/maintain"
@@ -46,8 +47,9 @@ const (
 	// pointExecuted: statements applied to the working catalog, nothing
 	// logged yet. Dying here must lose the (unacknowledged) batch.
 	pointExecuted = "apply.executed"
-	// pointLogged: WAL record fsync'd, snapshot not yet installed.
-	// Dying here must replay the batch on restart.
+	// pointLogged: WAL record fsync'd, snapshot not yet installed (any
+	// commit, rule installs included). Dying here must replay the record
+	// on restart.
 	pointLogged = "apply.logged"
 	// pointCheckpointSaved: the checkpoint's atomic save has renamed
 	// into place, the log is not yet reset. Dying here leaves a log
@@ -291,49 +293,17 @@ func (s *System) ApplyBatch(ctx context.Context, stmts []string) (*ApplyResult, 
 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.follower.Load() {
-		return nil, ErrNotLeader
-	}
-	if st := s.degraded.Load(); st != nil {
-		return nil, fmt.Errorf("%w (%s)", ErrReadOnly, st.Reason)
-	}
-	cur := s.current()
-	sn, muts, err := applyParsed(cur, parsed)
+	var muts []*query.Mutation
+	sn, err := s.commitLocked(ctx, func(cur *snapshot) (*snapshot, walRecord, error) {
+		sn, m, err := applyParsed(cur, parsed)
+		if err != nil {
+			return nil, walRecord{}, err
+		}
+		muts = m
+		return sn, walRecord{Stmts: stmts}, fault.Hit(s.fs, pointExecuted)
+	})
 	if err != nil {
 		return nil, err
-	}
-	if err := fault.Hit(s.fs, pointExecuted); err != nil {
-		return nil, err
-	}
-	var committed []byte
-	if s.log != nil {
-		payload, err := json.Marshal(walRecord{Seq: s.walSeq + 1, Stmts: stmts})
-		if err != nil {
-			return nil, fmt.Errorf("core: encode wal record: %w", err)
-		}
-		if err := s.log.Append(payload); err != nil {
-			s.noteAppendFailure(err)
-			if s.log.Poisoned() != nil {
-				// The record may be fully written despite the error (a
-				// failed fsync or rewind leaves the tail bytes unknown);
-				// a crash-and-replay could surface this batch.
-				return nil, fmt.Errorf("%w: %v", ErrLogIndeterminate, err)
-			}
-			return nil, fmt.Errorf("%w: %v", ErrLogFailed, err)
-		}
-		s.walFails = 0
-		s.walSeq++
-		committed = payload
-	}
-	if err := fault.Hit(s.fs, pointLogged); err != nil {
-		return nil, err
-	}
-	s.install(sn)
-	if committed != nil {
-		s.replicate(s.walSeq, committed)
 	}
 
 	res := &ApplyResult{Version: sn.version, Seq: s.walSeq, Mutations: muts}
@@ -384,11 +354,10 @@ func applyParsed(cur *snapshot, parsed []sqlparse.Stmt) (*snapshot, []*query.Mut
 		st = st.ApplyMutation(cur.d, cur.full, m)
 		muts = append(muts, m)
 	}
-	d := dict.New(workCat)
-	if err := d.Apply(cur.d.Decls()); err != nil {
-		return nil, nil, fmt.Errorf("core: rebuild dictionary: %w", err)
+	d, err := newDictionary(workCat, cur.d.Decls(), st.Serving(cur.full))
+	if err != nil {
+		return nil, nil, err
 	}
-	d.SetRules(st.Serving(cur.full))
 	sn := newSnapshot(cur.version+1, workCat, d, cur.counters)
 	sn.full = cur.full
 	sn.maint = st
@@ -434,34 +403,58 @@ func (s *System) checkpointLocked() error {
 	return nil
 }
 
-// logRulesLocked commits a rule-set install to the WAL as a
-// walKindRules record — the rule-base counterpart of ApplyBatch's
-// commit point, so induced and maintained rules survive a crash and
-// ship to followers. Caller holds wmu, installs the snapshot only after
-// this returns nil, and then offers the returned payload to followers
-// with replicate (after the install, so sequence waiters never observe
-// a sequence ahead of the serving snapshot).
+// commitLocked is the commit step every snapshot-replacing write shares
+// (ApplyBatch, Induce, Maintain). It refuses once ctx has ended, on a
+// follower and while the system is degraded; otherwise build derives the
+// successor snapshot from the current one. On a durable system the WAL
+// record build returns is appended next — the commit point — and the
+// snapshot installs only after that succeeds, then the record is offered
+// to followers (after the install, so sequence waiters never observe a
+// sequence ahead of the serving snapshot). A nil snapshot from build
+// means there is nothing to commit. Caller holds wmu.
 //
 //ilint:locked wmu
-func (s *System) logRulesLocked(set *rules.Set) ([]byte, error) {
-	wires, err := encodeRules(set)
-	if err != nil {
+func (s *System) commitLocked(ctx context.Context, build func(cur *snapshot) (*snapshot, walRecord, error)) (*snapshot, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	payload, err := json.Marshal(walRecord{Seq: s.walSeq + 1, Kind: walKindRules, Rules: wires})
-	if err != nil {
-		return nil, fmt.Errorf("core: encode rules record: %w", err)
+	if s.follower.Load() {
+		return nil, ErrNotLeader
 	}
-	if err := s.log.Append(payload); err != nil {
-		s.noteAppendFailure(err)
-		if s.log.Poisoned() != nil {
-			return nil, fmt.Errorf("%w: %v", ErrLogIndeterminate, err)
+	if st := s.degraded.Load(); st != nil {
+		return nil, fmt.Errorf("%w (%s)", ErrReadOnly, st.Reason)
+	}
+	sn, rec, err := build(s.current())
+	if err != nil || sn == nil {
+		return nil, err
+	}
+	var payload []byte
+	if s.log != nil {
+		rec.Seq = s.walSeq + 1
+		if payload, err = json.Marshal(rec); err != nil {
+			return nil, fmt.Errorf("core: encode wal record: %w", err)
 		}
-		return nil, fmt.Errorf("%w: %v", ErrLogFailed, err)
+		if err := s.log.Append(payload); err != nil {
+			s.noteAppendFailure(err)
+			if s.log.Poisoned() != nil {
+				// The record may be fully written despite the error (a
+				// failed fsync or rewind leaves the tail bytes unknown);
+				// a crash-and-replay could surface this commit.
+				return nil, fmt.Errorf("%w: %v", ErrLogIndeterminate, err)
+			}
+			return nil, fmt.Errorf("%w: %v", ErrLogFailed, err)
+		}
+		s.walFails = 0
+		s.walSeq++
 	}
-	s.walFails = 0
-	s.walSeq++
-	return payload, nil
+	if err := fault.Hit(s.fs, pointLogged); err != nil {
+		return nil, err
+	}
+	s.install(sn)
+	if payload != nil {
+		s.replicate(s.walSeq, payload)
+	}
+	return sn, nil
 }
 
 // WalSize returns the write-ahead log's size in bytes, or 0 when the
@@ -514,106 +507,94 @@ type MaintainResult struct {
 // refinable rules, merges the result with the untouched rules (which
 // keep their numbers), and installs it as a new all-valid snapshot. It
 // is the incremental counterpart to Induce: the candidate pairs outside
-// the mutated schemes are not re-run.
-//
-// The induction runs against a cloned catalog without holding the
-// writer mutex, so applies and checkpoints proceed concurrently with a
-// long re-induction pass. The lock is taken only to install: if another
-// writer installed a snapshot meanwhile, the pass's input is outdated
-// (the write may have staled further rules, or changed the data the
-// re-induced intervals were fit to) and Maintain retries against the
-// new snapshot. ctx cancels the pass between stages.
+// the mutated schemes are not re-run. Like Induce it holds the writer
+// lock for the whole pass, so a write waits for it instead of outdating
+// it. ctx cancels the pass between stages.
 func (s *System) Maintain(ctx context.Context, opts induct.Options) (*MaintainResult, error) {
-	if s.follower.Load() {
-		return nil, ErrNotLeader
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cur := s.current()
-		scope := cur.maint.SchemeKeys(cur.full)
-		if len(scope) == 0 {
-			return &MaintainResult{Version: cur.version}, nil
-		}
-		inScope := make(map[string]bool, len(scope))
-		for _, k := range scope {
-			inScope[k] = true
-		}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.reinduceLocked(ctx, opts, false)
+}
 
-		cat := cur.cat.Clone()
-		d := dict.New(cat)
-		if err := d.Apply(cur.d.Decls()); err != nil {
-			return nil, fmt.Errorf("core: maintain: rebuild dictionary: %w", err)
+// reinduceLocked is the one rule install, behind both Induce (all set:
+// every candidate pair, from an empty rule base) and Maintain (only the
+// schemes holding stale or refinable rules). Induction reads a shallow
+// copy of the current catalog, so the published snapshot's relations are
+// shared, never written. Rules outside the re-induced schemes keep their
+// numbers; new rules are numbered after them, in candidate order. The
+// merged set is stored as rule relations on the copy and committed as an
+// all-valid snapshot, its WAL record built from those same relations. A
+// pass with no scheme to re-induce commits nothing. Caller holds wmu.
+//
+//ilint:locked wmu
+func (s *System) reinduceLocked(ctx context.Context, opts induct.Options, all bool) (*MaintainResult, error) {
+	res := &MaintainResult{}
+	sn, err := s.commitLocked(ctx, func(cur *snapshot) (*snapshot, walRecord, error) {
+		res.Version = cur.version
+		var inScope map[string]bool
+		if !all {
+			res.Schemes = cur.maint.SchemeKeys(cur.full)
+			if len(res.Schemes) == 0 {
+				return nil, walRecord{}, nil
+			}
+			inScope = make(map[string]bool, len(res.Schemes))
+			for _, k := range res.Schemes {
+				inScope[k] = true
+			}
+		}
+		cat := cur.cat.ShallowClone()
+		d, err := newDictionary(cat, cur.d.Decls(), rules.NewSet())
+		if err != nil {
+			return nil, walRecord{}, err
 		}
 		in := induct.New(d, opts)
 		pairs, err := in.CandidatePairs(ctx)
 		if err != nil {
-			return nil, err
+			return nil, walRecord{}, err
 		}
-		var scoped []induct.Pair
-		for _, p := range pairs {
-			if inScope[p.Scheme().Key()] {
-				scoped = append(scoped, p)
-			}
+		if !all {
+			pairs = slices.DeleteFunc(pairs, func(p induct.Pair) bool { return !inScope[p.Scheme().Key()] })
+		}
+		results, err := in.InducePairsContext(ctx, pairs)
+		if err != nil {
+			return nil, walRecord{}, err
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, walRecord{}, err
 		}
-		results, err := in.InducePairsContext(ctx, scoped)
-		if err != nil {
-			return nil, err
-		}
-
-		// Untouched rules keep their numbers; re-induced schemes get
-		// fresh numbers after the current maximum.
-		merged := rules.NewSet()
-		res := &MaintainResult{Schemes: scope}
+		set := rules.NewSet()
 		for _, r := range cur.full.Rules() {
-			if inScope[r.Scheme().Key()] {
+			if all || inScope[r.Scheme().Key()] {
 				res.Dropped++
 				continue
 			}
-			merged.Add(r)
+			set.Add(r)
 		}
 		for _, rs := range results {
 			for _, r := range rs {
 				r.ID = 0
-				merged.Add(r)
+				set.Add(r)
 				res.Added++
 			}
 		}
-		d.SetRules(merged)
-		if err := d.StoreRules(); err != nil {
-			return nil, err
+		d.SetRules(set)
+		rels, err := d.StoreRules()
+		if err != nil {
+			return nil, walRecord{}, err
 		}
-
-		s.wmu.Lock()
-		if s.current().version != cur.version {
-			// A write landed during the induction; its effects (data and
-			// staleness) are not in this pass. Discard and redo.
-			s.wmu.Unlock()
-			continue
+		rec := walRecord{Kind: walKindRules, Rules: make([]relWire, len(rels))}
+		for i, r := range rels {
+			rec.Rules[i] = encodeRelWire(r)
 		}
-		var committed []byte
-		if s.log != nil {
-			committed, err = s.logRulesLocked(merged)
-			if err != nil {
-				s.wmu.Unlock()
-				return nil, err
-			}
-		}
-		sn := newSnapshot(cur.version+1, cat, d, s.counters)
-		sn.full = merged
-		sn.maint = maintain.NewState()
-		s.install(sn)
-		if committed != nil {
-			s.replicate(s.walSeq, committed)
-		}
-		s.wmu.Unlock()
-		res.Version = sn.version
-		return res, nil
+		return newSnapshot(cur.version+1, cat, d, cur.counters), rec, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	if sn != nil {
+		res.Version = sn.version
+	}
+	return res, nil
 }
 
 // StartAutoMaintain launches the eager maintenance worker: each apply

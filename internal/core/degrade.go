@@ -6,7 +6,8 @@
 // the kernel's view of the file is unknown) or a run of consecutive
 // failures means acknowledging further writes would be lying about
 // durability. Instead of dying, the system flips to read-only: every
-// ApplyBatch refuses with ErrReadOnly while queries keep serving from
+// commit (ApplyBatch, and the rule installs of Induce and Maintain)
+// refuses with ErrReadOnly while queries keep serving from
 // the last installed snapshot, whose rule base is still sound — a
 // snapshot only installs after its WAL record is durable, so nothing
 // the readers see was ever acknowledged-but-lost.
@@ -24,8 +25,9 @@ import (
 	"time"
 )
 
-// ErrReadOnly is returned by ApplyBatch while the system is in
-// read-only degraded mode. Queries are unaffected.
+// ErrReadOnly is returned by every commit (ApplyBatch, Induce, Maintain)
+// while the system is in read-only degraded mode. Queries are
+// unaffected.
 var ErrReadOnly = fmt.Errorf("core: system is read-only (degraded after WAL append failures; checkpoint or restart to recover)")
 
 // defaultDegradeAfter is how many consecutive WAL append failures flip

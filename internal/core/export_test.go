@@ -7,3 +7,8 @@ const (
 	PointLogged          = pointLogged
 	PointCheckpointSaved = pointCheckpointSaved
 )
+
+// KickAutoMaintain nudges the auto-maintenance worker as an apply that
+// leaves rules stale does, so tests can start a pass in a state no apply
+// can reach (a degraded system refuses every apply).
+func (s *System) KickAutoMaintain() { s.kickAutoMaintain() }

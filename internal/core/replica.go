@@ -29,7 +29,6 @@ import (
 
 	"intensional/internal/dict"
 	"intensional/internal/relation"
-	"intensional/internal/rules"
 	"intensional/internal/storage"
 )
 
@@ -158,20 +157,6 @@ func decodeRelWire(w relWire) (*relation.Relation, error) {
 	return r, nil
 }
 
-// encodeRules renders a rule set as its four rule relations on the
-// wire — the payload of a walKindRules record.
-func encodeRules(set *rules.Set) ([]relWire, error) {
-	enc, err := rules.Encode(set)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]relWire, 0, 4)
-	for _, r := range []*relation.Relation{enc.Rules, enc.Map, enc.Attrs, enc.Meta} {
-		out = append(out, encodeRelWire(r))
-	}
-	return out, nil
-}
-
 // replaySnapshot builds the successor snapshot one WAL record commits,
 // dispatching on the record kind. Shared by crash recovery (OpenDurable)
 // and follower replay (ReplayRecord), so both paths produce the
@@ -196,18 +181,10 @@ func installRulesSnapshot(cur *snapshot, wires []relWire) (*snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cat.Has(r.Name()) {
-			if err := cat.Drop(r.Name()); err != nil {
-				return nil, err
-			}
-		}
 		cat.Put(r)
 	}
-	d := dict.New(cat)
-	if err := d.Apply(cur.d.Decls()); err != nil {
-		return nil, fmt.Errorf("core: replay rules: rebuild dictionary: %w", err)
-	}
-	if err := d.LoadRules(); err != nil {
+	d, err := newDictionary(cat, cur.d.Decls(), nil)
+	if err != nil {
 		return nil, fmt.Errorf("core: replay rules: %w", err)
 	}
 	return newSnapshot(cur.version+1, cat, d, cur.counters), nil
@@ -382,11 +359,11 @@ func (s *System) replicationSlice(after uint64, max int) ([]ReplRecord, uint64, 
 }
 
 // BootstrapArchive is a full snapshot of a system's replicable state:
-// every relation (with the rule relations freshly encoded from the
-// serving rule set, so a bootstrapping follower never receives a stale
-// rule), the dictionary declarations, and the WAL position and snapshot
-// version the archive captures. It is the starting point for a new
-// follower and the catch-up path for one that fell behind retention.
+// every relation (the rule relations encoded from the serving rule set,
+// as Save writes them, so a bootstrapping follower never receives a
+// stale rule), the dictionary declarations, and the WAL position and
+// snapshot version the archive captures. It is the starting point for a
+// new follower and the catch-up path for one that fell behind retention.
 type BootstrapArchive struct {
 	Seq       uint64    `json:"seq"`
 	Version   uint64    `json:"version"`
@@ -402,30 +379,16 @@ func (s *System) BootstrapArchive() (*BootstrapArchive, error) {
 	defer s.wmu.Unlock()
 	sn := s.current()
 	a := &BootstrapArchive{Seq: s.walSeq, Version: sn.version}
-	ruleRel := map[string]bool{
-		rules.RuleRelName: true, rules.MapRelName: true,
-		rules.AttrRelName: true, rules.MetaRelName: true,
+	cat, err := persisted(sn)
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range sn.cat.Names() {
-		if ruleRel[name] {
-			continue // re-encoded below from the serving set
-		}
-		r, err := sn.cat.Get(name)
+	for _, name := range cat.Names() {
+		r, err := cat.Get(name)
 		if err != nil {
 			return nil, err
 		}
 		a.Relations = append(a.Relations, encodeRelWire(r))
-	}
-	// The catalog's stored rule relations can lag the serving set (a
-	// mutation may have staled rules since the last StoreRules); encode
-	// the set actually served so the follower starts all-valid and
-	// replays subsequent staleness itself.
-	if set := sn.d.Rules(); set.Len() > 0 {
-		wires, err := encodeRules(set)
-		if err != nil {
-			return nil, err
-		}
-		a.Relations = append(a.Relations, wires...)
 	}
 	decls, err := dict.MarshalDecls(sn.d.Decls())
 	if err != nil {
@@ -454,20 +417,16 @@ func (s *System) InstallBootstrap(a *BootstrapArchive) error {
 		}
 		cat.Put(r)
 	}
-	d := dict.New(cat)
+	var decls *dict.Decls
 	if len(a.Decls) > 0 {
-		decls, err := dict.UnmarshalDecls(a.Decls)
-		if err != nil {
-			return err
-		}
-		if err := d.Apply(decls); err != nil {
+		var err error
+		if decls, err = dict.UnmarshalDecls(a.Decls); err != nil {
 			return err
 		}
 	}
-	if cat.Has(rules.RuleRelName) {
-		if err := d.LoadRules(); err != nil {
-			return err
-		}
+	d, err := newDictionary(cat, decls, nil)
+	if err != nil {
+		return err
 	}
 	s.install(newSnapshot(a.Version, cat, d, s.counters))
 	s.walSeq = a.Seq

@@ -12,8 +12,9 @@
 // QueryContext, Catalog, Dictionary, Rules, Version) load the current
 // snapshot and work against it without further coordination; nothing in
 // a published snapshot is mutated except internally locked caches.
-// Writers (Induce, Save) are serialised among themselves. Induce builds
-// a whole new snapshot — cloned catalog, fresh dictionary, new rule set
+// Writers (Apply, Induce, Maintain, Save) are serialised among
+// themselves. Induce builds a whole new snapshot — a shallow copy of the
+// catalog with fresh rule relations, a fresh dictionary, a new rule set
 // — and installs it atomically, so queries in flight keep the consistent
 // view they started with and never observe a half-installed rule base.
 //
@@ -160,6 +161,27 @@ func newSnapshot(version uint64, cat *storage.Catalog, d *dict.Dictionary, count
 	}
 }
 
+// newDictionary builds a snapshot's dictionary over cat: decls applied
+// (none when nil), and set as its rule base — or, when set is nil, the
+// rule base cat's rule relations encode (empty when it holds none).
+func newDictionary(cat *storage.Catalog, decls *dict.Decls, set *rules.Set) (*dict.Dictionary, error) {
+	d := dict.New(cat)
+	if decls != nil {
+		if err := d.Apply(decls); err != nil {
+			return nil, fmt.Errorf("core: rebuild dictionary: %w", err)
+		}
+	}
+	switch {
+	case set != nil:
+		d.SetRules(set)
+	case cat.Has(rules.RuleRelName):
+		if err := d.LoadRules(); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
+}
+
 // New assembles a system over a catalog and its dictionary. The catalog
 // and dictionary become version 1's snapshot; mutate them only before
 // the system starts serving concurrent callers.
@@ -205,61 +227,30 @@ func (s *System) Dictionary() *dict.Dictionary { return s.current().d }
 func (s *System) Rules() *rules.Set { return s.current().d.Rules() }
 
 // Induce runs the Inductive Learning Subsystem over the database and
-// atomically installs the result as a new snapshot: the catalog is
-// cloned, a fresh dictionary is rebuilt from the declarations, the
-// induced rule base is stored into the clone as rule relations, and the
-// version advances. Queries in flight keep the snapshot they started
-// with; queries issued after Induce returns see the new rules. Induce
-// calls are serialised; concurrent Query calls are never blocked.
+// atomically installs the result as a new snapshot: over a shallow copy
+// of the catalog and a fresh dictionary rebuilt from the declarations,
+// every candidate pair is induced, the rule base is stored into the copy
+// as rule relations, and the version advances. Queries in flight keep
+// the snapshot they started with; queries issued after Induce returns
+// see the new rules. Induce holds the writer lock, so writes wait for
+// it; concurrent Query calls are never blocked.
 func (s *System) Induce(opts induct.Options) (*rules.Set, error) {
 	return s.InduceContext(context.Background(), opts)
 }
 
 // InduceContext is Induce with a deadline: the context is checked at
 // the stage boundaries of the induction pipeline (after acquiring the
-// writer lock, after the dictionary rebuild, after induction), so a
-// caller-imposed timeout or cancellation abandons the work at the next
-// boundary instead of installing a snapshot nobody is waiting for.
+// writer lock, within and after induction), so a caller-imposed timeout
+// or cancellation abandons the work at the next boundary instead of
+// installing a snapshot nobody is waiting for.
 func (s *System) InduceContext(ctx context.Context, opts induct.Options) (*rules.Set, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if err := ctx.Err(); err != nil {
+	if _, err := s.reinduceLocked(ctx, opts, true); err != nil {
 		return nil, err
 	}
-	if s.follower.Load() {
-		return nil, ErrNotLeader
-	}
-	cur := s.current()
-	cat := cur.cat.Clone()
-	d := dict.New(cat)
-	if err := d.Apply(cur.d.Decls()); err != nil {
-		return nil, fmt.Errorf("core: induce: rebuild dictionary: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	set, err := induct.New(d, opts).InduceAllContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	d.SetRules(set)
-	if err := d.StoreRules(); err != nil {
-		return nil, err
-	}
-	var committed []byte
-	if s.log != nil {
-		if committed, err = s.logRulesLocked(set); err != nil {
-			return nil, err
-		}
-	}
-	s.install(newSnapshot(cur.version+1, cat, d, s.counters))
-	if committed != nil {
-		s.replicate(s.walSeq, committed)
-	}
-	return set, nil
+	// Still under wmu: the current snapshot is the one just installed.
+	return s.current().full, nil
 }
 
 // Response is the result of one query: the conventional extensional
@@ -414,13 +405,12 @@ func sameDir(a, b string) bool {
 //ilint:locked wmu
 func (s *System) saveLocked(dir string) error {
 	sn := s.current()
-	if sn.d.Rules().Len() > 0 {
-		if err := sn.d.StoreRules(); err != nil {
-			return err
-		}
+	cat, err := persisted(sn)
+	if err != nil {
+		return err
 	}
 	return storage.WriteAtomicFS(s.fs, dir, func(tmp string) error {
-		if err := sn.cat.WriteIntoFS(s.fs, tmp); err != nil {
+		if err := cat.WriteIntoFS(s.fs, tmp); err != nil {
 			return err
 		}
 		data, err := dict.MarshalDecls(sn.d.Decls())
@@ -451,20 +441,30 @@ func Open(dir string) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := dict.New(cat)
+	var decls *dict.Decls
 	if data, err := os.ReadFile(filepath.Join(dir, declsFile)); err == nil {
-		decls, err := dict.UnmarshalDecls(data)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Apply(decls); err != nil {
+		if decls, err = dict.UnmarshalDecls(data); err != nil {
 			return nil, err
 		}
 	}
-	if cat.Has(rules.RuleRelName) {
-		if err := d.LoadRules(); err != nil {
-			return nil, err
-		}
+	d, err := newDictionary(cat, decls, nil)
+	if err != nil {
+		return nil, err
 	}
 	return New(cat, d), nil
+}
+
+// persisted is the one decision of which rules leave the process, for
+// Save and BootstrapArchive alike: the snapshot's catalog with its rule
+// relations re-encoded from the serving set sn.d.Rules(), an empty set
+// included, so rules the snapshot withholds never reach disk or the
+// wire. The result is a shallow copy; sn's own catalog is not written.
+func persisted(sn *snapshot) (*storage.Catalog, error) {
+	cat := sn.cat.ShallowClone()
+	d := dict.New(cat)
+	d.SetRules(sn.d.Rules())
+	if _, err := d.StoreRules(); err != nil {
+		return nil, err
+	}
+	return cat, nil
 }

@@ -351,21 +351,18 @@ func (d *Dictionary) SnapToObserved(a rules.AttrRef, iv rules.Interval) (snapped
 
 // StoreRules encodes the rule base into rule relations and places them in
 // the catalog, replacing prior versions, so Catalog.Save relocates the
-// knowledge with the data (Section 5.2.2).
-func (d *Dictionary) StoreRules() error {
+// knowledge with the data (Section 5.2.2). It returns the stored
+// relations.
+func (d *Dictionary) StoreRules() ([]*relation.Relation, error) {
 	enc, err := rules.Encode(d.ruleSet)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, rel := range []*relation.Relation{enc.Rules, enc.Map, enc.Attrs, enc.Meta} {
-		if d.cat.Has(rel.Name()) {
-			if err := d.cat.Drop(rel.Name()); err != nil {
-				return err
-			}
-		}
+	rels := []*relation.Relation{enc.Rules, enc.Map, enc.Attrs, enc.Meta}
+	for _, rel := range rels {
 		d.cat.Put(rel)
 	}
-	return nil
+	return rels, nil
 }
 
 // LoadRules decodes the rule base from the catalog's rule relations.

@@ -195,7 +195,7 @@ func TestValidationErrors(t *testing.T) {
 func TestStoreLoadRules(t *testing.T) {
 	d := shipDict(t)
 	d.SetRules(shipdb.PaperRules())
-	if err := d.StoreRules(); err != nil {
+	if _, err := d.StoreRules(); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Catalog().Has(rules.RuleRelName) {
@@ -225,7 +225,7 @@ func TestStoreLoadRules(t *testing.T) {
 		}
 	}
 	// StoreRules twice replaces, not duplicates.
-	if err := d.StoreRules(); err != nil {
+	if _, err := d.StoreRules(); err != nil {
 		t.Fatal(err)
 	}
 }

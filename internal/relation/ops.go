@@ -46,8 +46,8 @@ func SortCompare(a, b Value) int {
 
 // Delete removes the tuples satisfying pred and returns how many were
 // removed. The survivors are rebuilt into a fresh slice rather than
-// compacted in place, so shallow copies sharing the old backing array
-// (WithName, RenameColumns views) keep their contents intact.
+// compacted in place, so a row slice handed out earlier by Rows keeps
+// its contents intact.
 func (r *Relation) Delete(pred Predicate) int {
 	kept := make([]Tuple, 0, len(r.rows))
 	removed := 0
@@ -59,7 +59,6 @@ func (r *Relation) Delete(pred Predicate) int {
 		kept = append(kept, t)
 	}
 	r.rows = kept
-	r.shared.Store(false)
 	if removed > 0 {
 		r.version++
 	}

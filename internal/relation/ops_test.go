@@ -77,63 +77,6 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-// TestDeleteAfterRenameColumns is the regression test for the in-place
-// Delete compaction: the renamed view shares tuples with the original,
-// and deleting from the original must not shuffle the view's rows.
-func TestDeleteAfterRenameColumns(t *testing.T) {
-	r := classRelation(t)
-	view, err := r.RenameColumns(func(c string) string { return "CLASS." + c })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, view.Len())
-	for i, row := range view.Rows() {
-		want[i] = row.Key()
-	}
-
-	eq, _ := Cmp(r.Schema(), "Type", "=", String("SSBN"))
-	if n := r.Delete(eq); n != 3 {
-		t.Fatalf("Delete removed %d, want 3", n)
-	}
-	if view.Len() != len(want) {
-		t.Fatalf("view length changed: %d, want %d", view.Len(), len(want))
-	}
-	for i, row := range view.Rows() {
-		if row.Key() != want[i] {
-			t.Errorf("view row %d corrupted by Delete: %v", i, row)
-		}
-	}
-
-	// And the other direction: WithName views survive deletes too.
-	r2 := classRelation(t)
-	named := r2.WithName("COPY")
-	if r2.Delete(func(Tuple) bool { return true }) != 5 {
-		t.Fatal("expected full delete")
-	}
-	if named.Len() != 5 || named.Row(0)[0].Str() != "0101" {
-		t.Errorf("WithName view corrupted: len=%d first=%v", named.Len(), named.Row(0))
-	}
-}
-
-// TestSetAfterViewIsInvisible pins the copy-on-write contract: replacing
-// a cell in the original never shows through a shallow copy.
-func TestSetAfterViewIsInvisible(t *testing.T) {
-	r := classRelation(t)
-	view := r.WithName("COPY")
-	if err := r.Set(0, 2, Int(99)); err != nil {
-		t.Fatal(err)
-	}
-	if got := view.Row(0)[2].Int64(); got != 16600 {
-		t.Errorf("view observed Set through shared storage: %d", got)
-	}
-	if got := r.Row(0)[2].Int64(); got != 99 {
-		t.Errorf("Set lost: %d", got)
-	}
-}
-
-// TestSortNullsFirst checks SortCompare's deterministic null ordering:
-// nulls sort before every value ascending, after every value descending,
-// and a stable sort by it is reproducible.
 func TestSortNullsFirst(t *testing.T) {
 	rows := []Tuple{
 		{String("a"), Int(2)},

@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // Tuple is one row of a relation. Its length and value kinds must match
@@ -36,16 +35,12 @@ func (t Tuple) String() string {
 // Relation is a named multiset of tuples over a schema. Any number of
 // goroutines may read a Relation concurrently; mutation requires
 // exclusive access (the induction pipeline treats catalog relations and
-// materialised joins as immutable while workers run). Shallow copies
-// made by WithName and RenameColumns stay consistent under subsequent
-// single-writer mutation of either side: slices are clipped, deletes
-// rebuild, and cell updates copy-on-write.
+// materialised joins as immutable while workers run).
 type Relation struct {
 	name    string
 	schema  *Schema
 	rows    []Tuple
-	version uint64      // bumped on every mutation; indexes snapshot it
-	shared  atomic.Bool // rows' backing array may be aliased by a view
+	version uint64 // bumped on every mutation; indexes snapshot it
 }
 
 // New creates an empty relation with the given name and schema.
@@ -80,48 +75,6 @@ func (r *Relation) Version() uint64 { return r.version }
 
 // Row returns the i-th tuple.
 func (r *Relation) Row(i int) Tuple { return r.rows[i] }
-
-// WithName returns a shallow copy of the relation under a new name. The
-// copy shares tuples with r but owns its row slice: subsequent inserts or
-// deletes on either relation never become visible through the other.
-func (r *Relation) WithName(name string) *Relation {
-	out := &Relation{name: name, schema: r.schema, rows: r.sharedRows()}
-	out.shared.Store(true)
-	return out
-}
-
-// RenameColumns returns a shallow copy (tuples shared) whose column names
-// are passed through f — used to qualify columns before multi-way joins.
-// As with WithName, the copy's row slice is independent of r's.
-func (r *Relation) RenameColumns(f func(string) string) (*Relation, error) {
-	schema, err := r.schema.Rename(f)
-	if err != nil {
-		return nil, fmt.Errorf("relation %s: %w", r.name, err)
-	}
-	out := &Relation{name: r.name, schema: schema, rows: r.sharedRows()}
-	out.shared.Store(true)
-	return out, nil
-}
-
-// sharedRows returns r's row slice clipped to its length, so a shallow
-// copy built on it cannot have its backing array overwritten by a later
-// append to r (and vice versa) — appends past the clip always reallocate.
-// Both sides are marked shared so in-place writes (Set) know to detach
-// first. The view Relation is expected to set its own shared flag.
-func (r *Relation) sharedRows() []Tuple {
-	r.shared.Store(true)
-	return r.rows[:len(r.rows):len(r.rows)]
-}
-
-// detach gives r a private copy of its row slice if a view may alias the
-// backing array, so element writes cannot leak into shallow copies.
-func (r *Relation) detach() {
-	if !r.shared.Load() {
-		return
-	}
-	r.rows = append(make([]Tuple, 0, len(r.rows)), r.rows...)
-	r.shared.Store(false)
-}
 
 // Insert appends a tuple after checking arity and type conformance.
 func (r *Relation) Insert(t Tuple) error {
@@ -170,8 +123,8 @@ func (r *Relation) InsertStrings(fields ...string) error {
 // Set replaces the value at row i, column c, after checking type
 // conformance — the mutation primitive behind QUEL's replace. The row is
 // replaced copy-on-write: tuples handed out earlier (Select outputs,
-// WithName/RenameColumns views, Rows callers) keep their old values
-// rather than observing in-place mutation.
+// Rows callers) keep their old values rather than observing in-place
+// mutation.
 func (r *Relation) Set(i, c int, v Value) error {
 	if i < 0 || i >= len(r.rows) {
 		return fmt.Errorf("relation %s: row %d out of range", r.name, i)
@@ -183,7 +136,6 @@ func (r *Relation) Set(i, c int, v Value) error {
 		return fmt.Errorf("relation %s: value %#v does not conform to column %s %s",
 			r.name, v, r.schema.Col(c).Name, r.schema.Col(c).Type)
 	}
-	r.detach()
 	row := r.rows[i].Clone()
 	row[c] = v
 	r.rows[i] = row

@@ -119,16 +119,6 @@ func (s *Schema) Equal(t *Schema) bool {
 	return true
 }
 
-// Rename returns a copy of the schema with every column name passed
-// through f. Useful for qualifying columns before a join.
-func (s *Schema) Rename(f func(string) string) (*Schema, error) {
-	cols := make([]Column, len(s.cols))
-	for i, c := range s.cols {
-		cols[i] = Column{Name: f(c.Name), Type: c.Type}
-	}
-	return NewSchema(cols...)
-}
-
 // String renders the schema as "(name type, ...)".
 func (s *Schema) String() string {
 	var b strings.Builder

@@ -425,27 +425,16 @@ func (s *Server) handleInduce(w http.ResponseWriter, r *http.Request) {
 	if s.refuseFollower(w) || s.refuseDegraded(w) {
 		return
 	}
-	var req induceRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Nc < 0 || req.NcFraction < 0 || req.Workers < 0 {
-		writeError(w, http.StatusBadRequest, "nc, ncFraction, and workers must be non-negative")
+	opts, ok := induceOptions(w, r)
+	if !ok {
 		return
 	}
 	start := time.Now()
-	set, err := s.sys.InduceContext(r.Context(), induct.Options{
-		Nc:         req.Nc,
-		NcFraction: req.NcFraction,
-		Workers:    req.Workers,
-	})
+	set, err := s.sys.InduceContext(r.Context(), opts)
 	if err != nil {
-		if errors.Is(err, core.ErrNotLeader) {
-			s.writeNotLeader(w, err)
-			return
+		if !s.writeCommitError(w, r, err) {
+			writeError(w, http.StatusInternalServerError, err.Error())
 		}
-		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, induceResponse{
@@ -453,6 +442,50 @@ func (s *Server) handleInduce(w http.ResponseWriter, r *http.Request) {
 		Rules:     set.Len(),
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	})
+}
+
+// induceOptions decodes and validates an /induce or /maintain body. On a
+// bad body it answers 400 and returns false.
+func induceOptions(w http.ResponseWriter, r *http.Request) (induct.Options, bool) {
+	var req induceRequest
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return induct.Options{}, false
+	}
+	if req.Nc < 0 || req.NcFraction < 0 || req.Workers < 0 {
+		writeError(w, http.StatusBadRequest, "nc, ncFraction, and workers must be non-negative")
+		return induct.Options{}, false
+	}
+	return induct.Options{Nc: req.Nc, NcFraction: req.NcFraction, Workers: req.Workers}, true
+}
+
+// writeCommitError answers the errors every commit step (ApplyBatch,
+// Induce, Maintain) shares and reports whether err was one of them: the
+// request's deadline or cancellation (504), a follower (421), read-only
+// degraded mode (503 with Retry-After) and a failed WAL append (500).
+// Any other error is the caller's to answer.
+func (s *Server) writeCommitError(w http.ResponseWriter, r *http.Request, err error) bool {
+	switch {
+	case r.Context().Err() != nil && errors.Is(err, r.Context().Err()):
+		writeError(w, http.StatusGatewayTimeout, "request abandoned at deadline")
+	case errors.Is(err, core.ErrNotLeader):
+		// Checked before ErrReadOnly, which it wraps: a follower is
+		// permanently read-only for clients — redirect, don't retry.
+		s.writeNotLeader(w, err)
+	case errors.Is(err, core.ErrReadOnly):
+		// The system degraded between the up-front check and the commit
+		// (or during this very request).
+		w.Header().Set("Retry-After", "30")
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+	case errors.Is(err, core.ErrLogFailed):
+		// Includes core.ErrLogIndeterminate, where a failed fsync leaves
+		// the outcome unknown until the next recovery; the body carries
+		// that wording.
+		writeError(w, http.StatusInternalServerError, err.Error())
+	default:
+		return false
+	}
+	return true
 }
 
 // handleMutate applies a DML batch atomically through the write path.
@@ -485,28 +518,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.sys.ApplyBatch(r.Context(), stmts)
 	if err != nil {
-		// A non-nil error means the batch did not commit — except
-		// core.ErrLogIndeterminate, where a failed fsync leaves the
-		// outcome unknown until the next recovery; the 500 body carries
-		// that wording. A committed batch with a failed auto-checkpoint
-		// returns nil error and reports it in res.CheckpointErr.
-		switch {
-		case r.Context().Err() != nil && errors.Is(err, r.Context().Err()):
-			writeError(w, http.StatusGatewayTimeout, "mutation abandoned at deadline")
-		case errors.Is(err, core.ErrNotLeader):
-			// Checked before ErrReadOnly, which it wraps: a follower is
-			// permanently read-only for clients — redirect, don't retry.
-			s.writeNotLeader(w, err)
-		case errors.Is(err, core.ErrReadOnly):
-			// The system degraded between the up-front check and the
-			// apply (or during this very batch).
-			w.Header().Set("Retry-After", "30")
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		case errors.Is(err, core.ErrLogFailed):
-			writeError(w, http.StatusInternalServerError, err.Error())
-		default:
-			// Parse errors, unknown tables/columns, arity and type
-			// mismatches: properties of the request.
+		// A committed batch with a failed auto-checkpoint returns nil
+		// error and reports it in res.CheckpointErr. Errors outside the
+		// commit step's — parse errors, unknown tables/columns, arity and
+		// type mismatches — are properties of the request.
+		if !s.writeCommitError(w, r, err) {
 			writeError(w, http.StatusBadRequest, err.Error())
 		}
 		return
@@ -544,31 +560,16 @@ func (s *Server) handleMaintain(w http.ResponseWriter, r *http.Request) {
 	if s.refuseFollower(w) || s.refuseDegraded(w) {
 		return
 	}
-	var req induceRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Nc < 0 || req.NcFraction < 0 || req.Workers < 0 {
-		writeError(w, http.StatusBadRequest, "nc, ncFraction, and workers must be non-negative")
+	opts, ok := induceOptions(w, r)
+	if !ok {
 		return
 	}
 	start := time.Now()
-	res, err := s.sys.Maintain(r.Context(), induct.Options{
-		Nc:         req.Nc,
-		NcFraction: req.NcFraction,
-		Workers:    req.Workers,
-	})
+	res, err := s.sys.Maintain(r.Context(), opts)
 	if err != nil {
-		if r.Context().Err() != nil && errors.Is(err, r.Context().Err()) {
-			writeError(w, http.StatusGatewayTimeout, "maintenance abandoned at deadline")
-			return
+		if !s.writeCommitError(w, r, err) {
+			writeError(w, http.StatusInternalServerError, err.Error())
 		}
-		if errors.Is(err, core.ErrNotLeader) {
-			s.writeNotLeader(w, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, maintainResponse{

@@ -15,12 +15,12 @@ import (
 
 // Catalog is a concurrency-safe registry of named relations — the role
 // INGRES's system catalog played for the original prototype. The RWMutex
-// covers the registry itself (Get/Put/Create/Drop/Has/Names/Len/Clone
-// may be called from any number of goroutines); it does not cover the
-// contents of the relations it hands out. Relations support concurrent
-// readers but require exclusive access to mutate — the contract the
-// parallel induction pipeline relies on when workers share catalog
-// relations as read-only sources.
+// covers the registry itself (Get/Put/Create/Drop/Has/Names/Len and
+// ShallowClone may be called from any number of goroutines); it does not
+// cover the contents of the relations it hands out. Relations support
+// concurrent readers but require exclusive access to mutate — the
+// contract the parallel induction pipeline relies on when workers share
+// catalog relations as read-only sources.
 type Catalog struct {
 	mu   sync.RWMutex
 	rels map[string]*relation.Relation // guarded by mu
@@ -104,21 +104,11 @@ func (c *Catalog) Len() int {
 	return len(c.rels)
 }
 
-// Clone returns a deep copy of the catalog.
-func (c *Catalog) Clone() *Catalog {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := NewCatalog()
-	for k, r := range c.rels {
-		out.rels[k] = r.Clone()
-	}
-	return out
-}
-
 // ShallowClone returns a new catalog sharing the relation pointers. The
-// copy-on-write mutation path uses it: the mutated relation is
-// deep-cloned and Put back into the shallow clone, so every other
-// relation (and any snapshot holding the original catalog) is untouched.
+// copy-on-write write paths use it: a mutation deep-clones the relation
+// it changes and Puts it back into the shallow clone, and a rule install
+// or a save Puts fresh rule relations, so every other relation (and any
+// snapshot holding the original catalog) is untouched.
 func (c *Catalog) ShallowClone() *Catalog {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

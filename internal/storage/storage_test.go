@@ -58,17 +58,6 @@ func TestCatalogCRUD(t *testing.T) {
 	}
 }
 
-func TestCatalogCloneIndependence(t *testing.T) {
-	c := sampleCatalog(t)
-	cl := c.Clone()
-	r, _ := cl.Get("CLASS")
-	r.Delete(func(relation.Tuple) bool { return true })
-	orig, _ := c.Get("CLASS")
-	if orig.Len() == 0 {
-		t.Error("Clone must not share row storage")
-	}
-}
-
 func TestSaveLoadRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	c := sampleCatalog(t)
