@@ -1,15 +1,20 @@
-# CI entry points. `make ci` is what every PR must keep green: build,
-# vet, the repo's own static-analysis suite (cmd/ilint), the full test
-# suite, and the race detector over the internal packages — lint and
+# CI entry points. `make ci` is what every PR must keep green: gofmt,
+# build, vet, the repo's own static-analysis suite (cmd/ilint), the
+# full test suite, and the race detector over the internal packages — lint and
 # race together enforce the concurrency contract the parallel induction
 # pipeline relies on (immutable sources, locked catalog, deterministic
 # rule numbering).
 
 GO ?= go
 
-.PHONY: ci build vet lint lint-baseline test race bench bench-check serve chaos smoke-replication
+.PHONY: ci fmt build vet lint lint-baseline test race bench bench-check serve chaos smoke-replication
 
-ci: vet build lint test race
+ci: fmt vet build lint test race
+
+# gofmt -l names every Go file whose layout differs from gofmt's; any
+# name fails the build.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # The eight repo-specific passes: lockguard, maporder, rowalias,
 # errdrop, faultseam, ctxflow, snapfreeze, fsyncorder. See DESIGN.md

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"intensional"
@@ -187,6 +188,69 @@ func BenchmarkInferScaling(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// pointFleet is BenchmarkInferPoint's fixture, built once: the 60k-ship
+// fleet (20 classes per type, 250 ships per class, seed 1) with its rules
+// induced at Nc = 2, and the analyses of 64 point lookups on SHIP.Id
+// spread over the fleet.
+var pointFleet = sync.OnceValues(func() (*pointFixture, error) {
+	cat := synth.Fleet(synth.FleetConfig{ClassesPerType: 20, ShipsPerClass: 250, Seed: 1})
+	d, err := synth.FleetDictionary(cat)
+	if err != nil {
+		return nil, err
+	}
+	set, err := induct.New(d, induct.Options{Nc: 2}).InduceAll()
+	if err != nil {
+		return nil, err
+	}
+	d.SetRules(set)
+	ships, err := cat.Get(synth.FleetShip)
+	if err != nil {
+		return nil, err
+	}
+	ids, err := ships.Column("Id")
+	if err != nil {
+		return nil, err
+	}
+	q := query.New(cat, nil, nil)
+	fx := &pointFixture{p: infer.New(d)}
+	for i := 0; i < 64; i++ {
+		sql := fmt.Sprintf(`SELECT Id, Name, Class FROM SHIP WHERE Id = '%s'`, ids[i*len(ids)/64].Str())
+		prep, err := q.Prepare(sql, nil)
+		if err != nil {
+			return nil, err
+		}
+		fx.analyses = append(fx.analyses, prep.Analysis)
+	}
+	return fx, nil
+})
+
+type pointFixture struct {
+	p        *infer.Processor
+	analyses []*query.Analysis
+}
+
+// BenchmarkInferPoint measures Derive for a point lookup on SHIP.Id over
+// the benchmark-scale fleet: snapping the condition to the 60k observed
+// ids and chaining through the induced rule base. The ids' sorted-value
+// cache is filled before timing starts.
+func BenchmarkInferPoint(b *testing.B) {
+	fx, err := pointFleet()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, an := range fx.analyses {
+		if _, err := fx.p.Derive(an); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fx.p.Derive(fx.analyses[i%len(fx.analyses)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

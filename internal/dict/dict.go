@@ -118,9 +118,20 @@ type Dictionary struct {
 	levels      []Link // hierarchy-level links, e.g. SUBMARINE.Class = CLASS.Class
 	ruleSet     *rules.Set
 
-	cmu     sync.RWMutex                // protects the lazily filled caches below
-	domains map[string]rules.Interval   // guarded by cmu — lower(attr key) → cached active domain
-	values  map[string][]relation.Value // guarded by cmu — lower(attr key) → cached sorted distinct values
+	cmu     sync.RWMutex              // protects the lazily filled caches below
+	domains map[string]rules.Interval // guarded by cmu — lower(attr key) → cached active domain
+	values  map[string]observed       // guarded by cmu — lower(attr key) → cached sorted distinct values
+}
+
+// observed is an attribute's distinct non-null values in ascending
+// order. ordered reports that Compare orders every pair of them: false
+// when the attribute mixes strings with numbers or holds a NaN, which
+// compares equal to every number. Only an ordered slice may be
+// binary-searched; otherwise its order is whatever sorting under Less
+// left.
+type observed struct {
+	vals    []relation.Value
+	ordered bool
 }
 
 // New creates an empty dictionary over the catalog.
@@ -130,7 +141,7 @@ func New(cat *storage.Catalog) *Dictionary {
 		hierarchies: make(map[string]*Hierarchy),
 		ruleSet:     rules.NewSet(),
 		domains:     make(map[string]rules.Interval),
-		values:      make(map[string][]relation.Value),
+		values:      make(map[string]observed),
 	}
 }
 
@@ -282,29 +293,30 @@ func (d *Dictionary) InvalidateDomains() {
 	d.cmu.Lock()
 	defer d.cmu.Unlock()
 	d.domains = make(map[string]rules.Interval)
-	d.values = make(map[string][]relation.Value)
+	d.values = make(map[string]observed)
 }
 
 // sortedValues returns (and caches) the attribute's distinct values in
-// ascending order.
-func (d *Dictionary) sortedValues(a rules.AttrRef) ([]relation.Value, error) {
+// ascending order, and whether that order is total.
+func (d *Dictionary) sortedValues(a rules.AttrRef) (observed, error) {
 	key := a.Key()
 	d.cmu.RLock()
-	vs, ok := d.values[key]
+	obs, ok := d.values[key]
 	d.cmu.RUnlock()
 	if ok {
-		return vs, nil
+		return obs, nil
 	}
 	rel, err := d.cat.Get(a.Relation)
 	if err != nil {
-		return nil, err
+		return observed{}, err
 	}
 	col, err := rel.Column(a.Attribute)
 	if err != nil {
-		return nil, err
+		return observed{}, err
 	}
 	seen := make(map[string]struct{}, len(col))
 	out := make([]relation.Value, 0, len(col))
+	ordered := true
 	for _, v := range col {
 		if v.IsNull() {
 			continue
@@ -314,12 +326,16 @@ func (d *Dictionary) sortedValues(a rules.AttrRef) ([]relation.Value, error) {
 		}
 		seen[v.Key()] = struct{}{}
 		out = append(out, v)
+		if !out[0].Comparable(v) || v.IsNaN() {
+			ordered = false
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	obs = observed{vals: out, ordered: ordered}
 	d.cmu.Lock()
-	d.values[key] = out
+	d.values[key] = obs
 	d.cmu.Unlock()
-	return out, nil
+	return obs, nil
 }
 
 // SnapToObserved tightens a condition interval to the smallest closed
@@ -328,25 +344,30 @@ func (d *Dictionary) sortedValues(a rules.AttrRef) ([]relation.Value, error) {
 // conditions. ok is false when no observed value satisfies the condition
 // (the extensional answer is provably empty).
 func (d *Dictionary) SnapToObserved(a rules.AttrRef, iv rules.Interval) (snapped rules.Interval, ok bool, err error) {
-	vs, err := d.sortedValues(a)
+	obs, err := d.sortedValues(a)
 	if err != nil {
 		return rules.Interval{}, false, err
 	}
-	var lo, hi relation.Value
-	found := false
-	for _, v := range vs {
-		if !iv.Contains(v) {
-			continue
+	vs := obs.vals
+	// lo and hi index the first and last observed values inside iv.
+	var lo, hi int
+	if obs.ordered {
+		// The values inside iv are one contiguous stretch of vs.
+		lo = sort.Search(len(vs), func(i int) bool { return iv.AboveLo(vs[i]) })
+		hi = sort.Search(len(vs), func(i int) bool { return !iv.BelowHi(vs[i]) }) - 1
+	} else {
+		lo, hi = 0, len(vs)-1
+		for lo < len(vs) && !iv.Contains(vs[lo]) {
+			lo++
 		}
-		if !found {
-			lo, found = v, true
+		for hi > lo && !iv.Contains(vs[hi]) {
+			hi--
 		}
-		hi = v
 	}
-	if !found {
+	if lo > hi || !iv.Contains(vs[lo]) || !iv.Contains(vs[hi]) {
 		return rules.Interval{}, false, nil
 	}
-	return rules.Range(lo, hi), true, nil
+	return rules.Range(vs[lo], vs[hi]), true, nil
 }
 
 // StoreRules encodes the rule base into rule relations and places them in
@@ -442,12 +463,12 @@ func (d *Dictionary) ValidateHierarchy(object string) ([]relation.Value, error) 
 	if !ok {
 		return nil, fmt.Errorf("dict: no hierarchy on %q", object)
 	}
-	vals, err := d.sortedValues(h.Attr())
+	obs, err := d.sortedValues(h.Attr())
 	if err != nil {
 		return nil, err
 	}
 	var missing []relation.Value
-	for _, v := range vals {
+	for _, v := range obs.vals {
 		if _, ok := h.SubtypeFor(v); !ok {
 			missing = append(missing, v)
 		}

@@ -97,10 +97,11 @@ func deriveHierarchy(d *Dictionary, o *ker.ObjectType) (*Hierarchy, error) {
 	}
 	var best *candidate
 	for _, col := range rel.Schema().Columns() {
-		vals, err := d.sortedValues(rules.Attr(o.Name, col.Name))
+		obs, err := d.sortedValues(rules.Attr(o.Name, col.Name))
 		if err != nil {
 			return nil, err
 		}
+		vals := obs.vals
 		c := candidate{attr: col.Name}
 		for _, sub := range o.Subtypes {
 			if v, ok := matchSubtype(sub, vals); ok {

@@ -140,28 +140,25 @@ func (t Tree) Run(ctx context.Context, name string) (*relation.Relation, error) 
 // Pred decides whether a row qualifies.
 type Pred func(relation.Tuple) bool
 
-// KeyFn extracts a hash key from a row (join keys, distinct keys).
-type KeyFn func(relation.Tuple) string
+// KeyFn appends a row's hash key (join keys) to dst and returns the
+// extended buffer. Callers pass a reused scratch buffer, so building a
+// key allocates nothing.
+type KeyFn func(dst []byte, t relation.Tuple) []byte
 
 // KeyOf returns a KeyFn over the given column positions, composing
-// each value's collision-free Key. The returned KeyFn reuses a scratch
-// buffer across calls and is therefore not safe for concurrent use —
-// build one per operator, as each Tree.New call does.
+// each value's collision-free Key.
 func KeyOf(cols []int) KeyFn {
 	if len(cols) == 1 {
 		// Single-column keys (the common join) need no composition: a
 		// value's Key is already collision-free on its own.
 		c := cols[0]
-		return func(t relation.Tuple) string { return t[c].Key() }
+		return func(dst []byte, t relation.Tuple) []byte { return t[c].AppendKey(dst) }
 	}
-	var buf []byte
-	return func(t relation.Tuple) string {
-		buf = buf[:0]
+	return func(dst []byte, t relation.Tuple) []byte {
 		for _, c := range cols {
-			buf = append(buf, t[c].Key()...)
-			buf = append(buf, '\x1f')
+			dst = append(t[c].AppendKey(dst), '\x1f')
 		}
-		return string(buf)
+		return dst
 	}
 }
 

@@ -20,13 +20,15 @@ type HashJoin struct {
 	leftKey  KeyFn
 	rightKey KeyFn
 
-	table map[string][]relation.Tuple
-	out   arena
-	probe *Batch // current probe-side batch (pooled)
-	pi    int    // cursor into probe
-	match []relation.Tuple
-	mi    int
-	done  bool
+	table  map[string]int     // join key → index into groups
+	groups [][]relation.Tuple // build rows per key, in arrival order
+	key    []byte             // scratch buffer the KeyFns append into
+	out    arena
+	probe  *Batch // current probe-side batch (pooled)
+	pi     int    // cursor into probe
+	match  []relation.Tuple
+	mi     int
+	done   bool
 }
 
 // NewHashJoin builds a hash join. schema is the concatenated output row
@@ -53,7 +55,8 @@ func (j *HashJoin) Open(ctx context.Context) error {
 	if err := j.right.Open(ctx); err != nil {
 		return err
 	}
-	j.table = make(map[string][]relation.Tuple)
+	j.table = make(map[string]int)
+	j.groups = nil
 	b := getBatch()
 	defer putBatch(b)
 	for {
@@ -65,8 +68,15 @@ func (j *HashJoin) Open(ctx context.Context) error {
 		}
 		for i := 0; i < b.Len(); i++ {
 			t := b.Row(i)
-			k := j.rightKey(t)
-			j.table[k] = append(j.table[k], t)
+			j.key = j.rightKey(j.key[:0], t)
+			// Look up before inserting: m[string(buf)] does not copy
+			// the key, so only a new key pays for its string.
+			if g, ok := j.table[string(j.key)]; ok {
+				j.groups[g] = append(j.groups[g], t)
+				continue
+			}
+			j.table[string(j.key)] = len(j.groups)
+			j.groups = append(j.groups, []relation.Tuple{t})
 		}
 	}
 	j.probe = getBatch()
@@ -94,7 +104,11 @@ func (j *HashJoin) Next(b *Batch) error {
 				}
 				j.pi = 0
 			}
-			j.match = j.table[j.leftKey(j.probe.Row(j.pi))]
+			j.key = j.leftKey(j.key[:0], j.probe.Row(j.pi))
+			j.match = nil
+			if g, ok := j.table[string(j.key)]; ok {
+				j.match = j.groups[g]
+			}
 			j.mi = 0
 		}
 		l := j.probe.Row(j.pi)
@@ -111,6 +125,7 @@ func (j *HashJoin) Next(b *Batch) error {
 // Close releases the hash table and both inputs.
 func (j *HashJoin) Close() error {
 	j.table = nil
+	j.groups = nil
 	j.match = nil
 	putBatch(j.probe)
 	j.probe = nil

@@ -566,17 +566,12 @@ func (in *Inducer) InduceAllContext(ctx context.Context) (*rules.Set, error) {
 	return set, nil
 }
 
-// InducePairs induces the given candidate pairs on the configured worker
-// pool and returns the per-pair rule lists in input order (unnumbered —
-// the caller commits them to a set). Incremental maintenance uses it to
-// re-induce only the schemes a mutation touched, with the same
-// parallelism and determinism guarantees as InduceAll.
-func (in *Inducer) InducePairs(pairs []Pair) ([][]*rules.Rule, error) {
-	return in.InducePairsContext(context.Background(), pairs)
-}
-
-// InducePairsContext is InducePairs with a deadline shared by every
-// worker's induction statements.
+// InducePairsContext induces the given candidate pairs on the configured
+// worker pool and returns the per-pair rule lists in input order
+// (unnumbered — the caller commits them to a set). Re-induction uses it
+// to induce only the schemes a mutation touched, with the same
+// parallelism and determinism guarantees as InduceAll. ctx is the
+// deadline shared by every worker's induction statements.
 func (in *Inducer) InducePairsContext(ctx context.Context, pairs []Pair) ([][]*rules.Rule, error) {
 	results := make([][]*rules.Rule, len(pairs))
 	errs := make([]error, len(pairs))

@@ -159,8 +159,11 @@ func newEquivalence() *equivalence {
 	return &equivalence{parent: map[string]string{}, attrs: map[string]rules.AttrRef{}}
 }
 
-func (e *equivalence) add(a rules.AttrRef) string {
-	k := a.Key()
+func (e *equivalence) add(a rules.AttrRef) string { return e.addKey(a.Key(), a) }
+
+// addKey registers a under its precomputed key k. The first registration
+// of a key fixes the spelling classOf reports for it.
+func (e *equivalence) addKey(k string, a rules.AttrRef) string {
 	if _, ok := e.parent[k]; !ok {
 		e.parent[k] = k
 		e.attrs[k] = a
@@ -276,26 +279,33 @@ func (p *Processor) Derive(an *query.Analysis) (*Result, error) {
 		return res, nil
 	}
 
-	// Forward chaining to fixpoint. Each pass scans every rule against
-	// every fact in the premise attribute's equivalence class.
+	// Forward chaining to fixpoint. Each pass walks the rules in set
+	// order, one premise run at a time: a run whose premise attribute's
+	// equivalence class holds no fact cannot fire, and one lookup of the
+	// key the set computed at Add skips it; in a run that can fire,
+	// Subsuming finds the rules whose premise holds the fact, in order.
+	// Registering the run's attribute is a no-op after the first pass;
+	// in the first it gives each premise attribute the spelling of its
+	// first mention in the rule base, which classOf reports in
+	// description aliases.
 	ruleSet := p.d.Rules()
 	for pass := 0; pass < ruleSet.Len()+len(an.Restrictions)+1; pass++ {
 		changed := false
-		for _, r := range ruleSet.Rules() {
-			if len(r.LHS) != 1 {
-				continue
+		for _, run := range ruleSet.PremiseRuns() {
+			if run.Key == "" {
+				continue // multi-clause premises do not fire from one fact
 			}
-			premise := r.LHS[0]
-			root := eq.find(eq.add(premise.Attr))
-			cur, ok := facts[root]
+			cur, ok := facts[eq.find(eq.addKey(run.Key, run.Rules[0].LHS[0].Attr))]
 			if !ok {
 				continue
 			}
-			if !premise.Interval().Subsumes(cur.fact.Interval) {
-				continue
-			}
-			if addFact(r.RHS.Attr, r.RHS.Interval(), []int{r.ID}, true) {
-				changed = true
+			// A rule that fires may narrow cur, so each search uses the
+			// fact as it stands.
+			for i := run.Subsuming(0, cur.fact.Interval); i < len(run.Rules); i = run.Subsuming(i+1, cur.fact.Interval) {
+				r := run.Rules[i]
+				if addFact(r.RHS.Attr, r.RHS.Interval(), []int{r.ID}, true) {
+					changed = true
+				}
 			}
 		}
 		if !changed {

@@ -31,7 +31,7 @@ import (
 // them. "Blocking" is a transitive summary over the call graph, seeded
 // with the operations this repo actually blocks on: the fault.FS /
 // fault.File disk seam, time.Sleep, and rule induction
-// (induct.InduceAll / InducePairs).
+// (induct.InduceAll / InducePairsContext).
 var ctxflowPass = &Pass{
 	Name: "ctxflow",
 	Doc:  "request entrypoints must thread their context to every blocking operation they reach",
@@ -182,7 +182,7 @@ func blockingBase(f *types.Func) bool {
 		return ok && (name == "FS" || name == "File")
 	case pathHasSuffix(path, "internal/induct"):
 		switch f.Name() {
-		case "InduceAll", "InducePairs", "InduceAllContext", "InducePairsContext":
+		case "InduceAll", "InduceAllContext", "InducePairsContext":
 			return true
 		}
 	}

@@ -21,8 +21,8 @@ import (
 
 // Package is one type-checked package of the analyzed module.
 type Package struct {
-	Path  string        // import path
-	Dir   string        // directory the files were parsed from
+	Path  string // import path
+	Dir   string // directory the files were parsed from
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package

@@ -15,12 +15,12 @@ func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 // Key returns a map key identifying the tuple's values, for duplicate
 // elimination and hash joins.
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var buf [128]byte // holds most keys, so the string is the one allocation
+	b := buf[:0]
 	for _, v := range t {
-		b.WriteString(v.Key())
-		b.WriteByte('\x1f')
+		b = append(v.AppendKey(b), '\x1f')
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the tuple as "(v1, v2, ...)".

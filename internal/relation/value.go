@@ -87,6 +87,10 @@ func (v Value) Float64() float64 {
 // IsNumeric reports whether the value is an int or float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
+// IsNaN reports whether the value is a float NaN, which Compare finds
+// equal to every number.
+func (v Value) IsNaN() bool { return v.kind == KindFloat && math.IsNaN(v.f) }
+
 // String renders the value for display. Strings render without quotes;
 // use GoString for an unambiguous form.
 func (v Value) String() string {
@@ -219,18 +223,27 @@ func (v Value) Less(w Value) bool {
 // Int(1<<53) and Int(1<<53+1) never collide; no float64 can equal such
 // an integer, so Equal agrees.
 func (v Value) Key() string {
+	var buf [64]byte // holds most keys, so the string is the one allocation
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of Key to dst and returns the extended
+// buffer. A caller that reuses dst builds keys without allocating, and
+// can probe a string-keyed map with m[string(buf)], which Go does without
+// a copy.
+func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00"
+		return append(dst, '\x00')
 	case KindString:
-		return "s" + v.s
+		return append(append(dst, 's'), v.s...)
 	case KindInt:
 		if f := float64(v.i); f < 1<<63 && int64(f) == v.i {
-			return "n" + strconv.FormatFloat(f, 'g', -1, 64)
+			return strconv.AppendFloat(append(dst, 'n'), f, 'g', -1, 64)
 		}
-		return "i" + strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(append(dst, 'i'), v.i, 10)
 	default:
-		return "n" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'n'), v.f, 'g', -1, 64)
 	}
 }
 

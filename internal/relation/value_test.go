@@ -117,6 +117,8 @@ func TestValueKeyInt53Boundary(t *testing.T) {
 		{Int(math.MaxInt64), Int(math.MaxInt64 - 1)},
 	}
 	for _, p := range pairs {
+		checkAppendKey(t, p.a)
+		checkAppendKey(t, p.b)
 		if p.a.Key() == p.b.Key() {
 			t.Errorf("%v and %v share key %q", p.a, p.b, p.a.Key())
 		}
@@ -127,6 +129,8 @@ func TestValueKeyInt53Boundary(t *testing.T) {
 	// Int/float unification survives for exactly representable values,
 	// including at the boundary itself.
 	for _, i := range []int64{0, 3, -7, big, -big, 1 << 60} {
+		checkAppendKey(t, Int(i))
+		checkAppendKey(t, Float(float64(i)))
 		if Int(i).Key() != Float(float64(i)).Key() {
 			t.Errorf("Int(%d) and Float of same value should share a key", i)
 		}
@@ -137,7 +141,7 @@ func TestValueKeyInt53Boundary(t *testing.T) {
 	// Compare must agree with Key at the boundary: float64(1<<53) equals
 	// the int 1<<53 but not 1<<53+1, even though float64 conversion of
 	// the latter would round onto it.
-	if Int(big+1).Equal(Float(float64(big))) {
+	if Int(big + 1).Equal(Float(float64(big))) {
 		t.Error("Int(2^53+1) must not equal Float(2^53)")
 	}
 	if c, err := Int(big + 1).Compare(Float(float64(big))); err != nil || c != 1 {
@@ -149,6 +153,53 @@ func TestValueKeyInt53Boundary(t *testing.T) {
 	// MaxInt64 rounds up to 2^63 as a float; the float is strictly larger.
 	if c, err := Int(math.MaxInt64).Compare(Float(9.223372036854776e18)); err != nil || c != -1 {
 		t.Errorf("MaxInt64 vs 2^63 float: got %d, %v; want -1", c, err)
+	}
+}
+
+// checkAppendKey asserts that AppendKey appends exactly Key's bytes,
+// after whatever dst already holds.
+func checkAppendKey(t *testing.T, v Value) {
+	t.Helper()
+	if got := string(v.AppendKey(nil)); got != v.Key() {
+		t.Errorf("%#v: AppendKey(nil) = %q, Key = %q", v, got, v.Key())
+	}
+	if got := string(v.AppendKey([]byte("pre"))); got != "pre"+v.Key() {
+		t.Errorf("%#v: AppendKey(\"pre\") = %q, want %q", v, got, "pre"+v.Key())
+	}
+}
+
+// TestValueKeyBytes pins the key bytes themselves, so a change to
+// AppendKey that Key would follow still shows: hash-join probes and
+// stored keys built by either must agree with the keys of earlier
+// releases. Signed zeros keep distinct keys although they compare equal,
+// and every NaN shares one.
+func TestValueKeyBytes(t *testing.T) {
+	big := int64(1) << 53
+	cases := []struct {
+		v    Value
+		want string
+	}{
+		{Null(), "\x00"},
+		{String(""), "s"},
+		{String("SSN623"), "sSSN623"},
+		{Int(3), "n3"},
+		{Float(3), "n3"},
+		{Float(2.5), "n2.5"},
+		{Int(big), "n9.007199254740992e+15"},
+		{Int(big + 1), "i9007199254740993"},
+		{Int(-big - 1), "i-9007199254740993"},
+		{Int(math.MaxInt64), "i9223372036854775807"},
+		{Int(math.MinInt64), "n-9.223372036854776e+18"},
+		{Float(0), "n0"},
+		{Float(math.Copysign(0, -1)), "n-0"},
+		{Float(math.NaN()), "nNaN"},
+		{Float(math.Inf(1)), "n+Inf"},
+	}
+	for _, c := range cases {
+		checkAppendKey(t, c.v)
+		if got := c.v.Key(); got != c.want {
+			t.Errorf("%#v.Key() = %q, want %q", c.v, got, c.want)
+		}
 	}
 }
 

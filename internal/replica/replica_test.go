@@ -210,7 +210,9 @@ func TestFollowerRebootstrapsPastRetention(t *testing.T) {
 	f.Start()
 	waitFor(t, 10*time.Second,
 		func() bool { return f.Status().Bootstraps > 0 && f.Status().State == cluster.StateReady },
-		func() string { return fmt.Sprintf("follower never finished its initial bootstrap (status %+v)", f.Status()) })
+		func() string {
+			return fmt.Sprintf("follower never finished its initial bootstrap (status %+v)", f.Status())
+		})
 	f.Stop()
 
 	// Push the leader far past the 2-record retention window.

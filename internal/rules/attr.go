@@ -33,9 +33,7 @@ func ParseAttrRef(s string) (AttrRef, error) {
 func (a AttrRef) String() string { return a.Relation + "." + a.Attribute }
 
 // Key returns a case-normalised map key for the reference.
-func (a AttrRef) Key() string {
-	return strings.ToLower(a.Relation) + "." + strings.ToLower(a.Attribute)
-}
+func (a AttrRef) Key() string { return strings.ToLower(a.Relation + "." + a.Attribute) }
 
 // EqualFold reports whether two references name the same attribute,
 // ignoring case.
@@ -53,4 +51,6 @@ type Scheme struct {
 func (s Scheme) String() string { return s.X.String() + " --> " + s.Y.String() }
 
 // Key returns a case-normalised map key for the scheme.
-func (s Scheme) Key() string { return s.X.Key() + "-->" + s.Y.Key() }
+func (s Scheme) Key() string { return schemeKey(s.X.Key(), s.Y.Key()) }
+
+func schemeKey(x, y string) string { return x + "-->" + y }

@@ -67,26 +67,29 @@ func (iv Interval) IsPoint() bool {
 
 // Contains reports whether v lies in the interval. Values incomparable
 // with a bound are outside.
-func (iv Interval) Contains(v relation.Value) bool {
-	if !iv.Lo.Unbounded {
-		c, err := v.Compare(iv.Lo.Value)
-		if err != nil {
-			return false
-		}
-		if c < 0 || (c == 0 && iv.Lo.Open) {
-			return false
-		}
+func (iv Interval) Contains(v relation.Value) bool { return iv.AboveLo(v) && iv.BelowHi(v) }
+
+// AboveLo reports whether v satisfies the interval's lower bound alone.
+// Over values in ascending order it is false, then true, so a binary
+// search finds the first value inside the interval. Values incomparable
+// with the bound do not satisfy it.
+func (iv Interval) AboveLo(v relation.Value) bool {
+	if iv.Lo.Unbounded {
+		return true
 	}
-	if !iv.Hi.Unbounded {
-		c, err := v.Compare(iv.Hi.Value)
-		if err != nil {
-			return false
-		}
-		if c > 0 || (c == 0 && iv.Hi.Open) {
-			return false
-		}
+	c, err := v.Compare(iv.Lo.Value)
+	return err == nil && (c > 0 || (c == 0 && !iv.Lo.Open))
+}
+
+// BelowHi reports whether v satisfies the interval's upper bound alone:
+// true, then false, over values in ascending order. Values incomparable
+// with the bound do not satisfy it.
+func (iv Interval) BelowHi(v relation.Value) bool {
+	if iv.Hi.Unbounded {
+		return true
 	}
-	return true
+	c, err := v.Compare(iv.Hi.Value)
+	return err == nil && (c < 0 || (c == 0 && !iv.Hi.Open))
 }
 
 // loAtMost reports whether bound a is at or below bound b when both are

@@ -111,20 +111,30 @@ func clauseEqual(a, b Clause) bool {
 	return a.Attr.EqualFold(b.Attr) && a.Lo.Equal(b.Lo) && a.Hi.Equal(b.Hi)
 }
 
-// Set is an ordered collection of rules with scheme-based lookup: the
-// knowledge base the inference processor searches.
+// Set is an ordered collection of rules: the knowledge base the
+// inference processor searches. Add computes a rule's attribute keys
+// once and files the rule by scheme, by consequence attribute and into
+// premise runs, so inference looks rules up instead of scanning them.
+// ByID still scans; only explanations look rules up by number.
 type Set struct {
-	rules    []*Rule
-	byScheme map[string][]*Rule
-	nextID   int
+	rules         []*Rule
+	byScheme      map[string][]*Rule
+	byConsequence map[string][]*Rule
+	runs          []PremiseRun // each run's Rules is a window on rules
+	nextID        int
 }
 
 // NewSet returns an empty rule set.
 func NewSet() *Set {
-	return &Set{byScheme: make(map[string][]*Rule), nextID: 1}
+	return &Set{
+		byScheme:      make(map[string][]*Rule),
+		byConsequence: make(map[string][]*Rule),
+		nextID:        1,
+	}
 }
 
 // Add inserts a rule, assigning it the next rule number if it has none.
+// The rule must not change once added: the set indexes its attributes.
 func (s *Set) Add(r *Rule) *Rule {
 	if r.ID == 0 {
 		r.ID = s.nextID
@@ -133,16 +143,36 @@ func (s *Set) Add(r *Rule) *Rule {
 		s.nextID = r.ID + 1
 	}
 	s.rules = append(s.rules, r)
-	k := r.Scheme().Key()
+	sch := r.Scheme()
+	x, y := sch.X.Key(), sch.Y.Key()
+	k := schemeKey(x, y)
 	s.byScheme[k] = append(s.byScheme[k], r)
+	premise := ""
+	if len(r.LHS) == 1 {
+		premise = x
+	}
+	if n := len(s.runs); n > 0 && s.runs[n-1].extends(premise, r) {
+		s.runs[n-1].Rules = window(s.rules, len(s.runs[n-1].Rules)+1)
+	} else {
+		s.runs = append(s.runs, PremiseRun{Key: premise, Rules: window(s.rules, 1)})
+	}
+	s.byConsequence[y] = append(s.byConsequence[y], r)
 	return r
 }
+
+// window returns the last n rules, capped so that an append to the
+// window cannot write into rules.
+func window(rules []*Rule, n int) []*Rule { return rules[len(rules)-n : len(rules) : len(rules)] }
 
 // Len returns the number of rules.
 func (s *Set) Len() int { return len(s.rules) }
 
 // Rules returns the rules in insertion order. Callers must not mutate.
 func (s *Set) Rules() []*Rule { return s.rules }
+
+// PremiseRuns returns the rules, in insertion order, cut into premise
+// runs. Callers must not mutate.
+func (s *Set) PremiseRuns() []PremiseRun { return s.runs }
 
 // ByScheme returns the rules of the given scheme.
 func (s *Set) ByScheme(sch Scheme) []*Rule { return s.byScheme[sch.Key()] }
@@ -157,29 +187,9 @@ func (s *Set) ByID(id int) (*Rule, bool) {
 	return nil, false
 }
 
-// WithPremiseOn returns the rules whose (single-clause) premise is on the
-// given attribute.
-func (s *Set) WithPremiseOn(attr AttrRef) []*Rule {
-	var out []*Rule
-	for _, r := range s.rules {
-		if len(r.LHS) == 1 && r.LHS[0].Attr.EqualFold(attr) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// WithConsequenceOn returns the rules whose consequence is on the given
-// attribute.
-func (s *Set) WithConsequenceOn(attr AttrRef) []*Rule {
-	var out []*Rule
-	for _, r := range s.rules {
-		if r.RHS.Attr.EqualFold(attr) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+// WithConsequenceOn returns the rules, in insertion order, whose
+// consequence is on the given attribute. Callers must not mutate.
+func (s *Set) WithConsequenceOn(attr AttrRef) []*Rule { return s.byConsequence[attr.Key()] }
 
 // Prune returns a new set keeping only rules with Support >= nc — the
 // paper's Nc threshold. Rule numbers are preserved.

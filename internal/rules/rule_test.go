@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -131,9 +132,6 @@ func TestSetBasics(t *testing.T) {
 	if got := s.ByScheme(sch); len(got) != 2 {
 		t.Errorf("ByScheme = %d rules", len(got))
 	}
-	if got := s.WithPremiseOn(Attr("class", "displacement")); len(got) != 2 {
-		t.Errorf("WithPremiseOn = %d rules", len(got))
-	}
 	if got := s.WithConsequenceOn(Attr("CLASS", "Type")); len(got) != 2 {
 		t.Errorf("WithConsequenceOn = %d rules", len(got))
 	}
@@ -154,6 +152,57 @@ func TestSetByID(t *testing.T) {
 	}
 	if _, ok := s.ByID(999); ok {
 		t.Error("ByID(999) should miss")
+	}
+}
+
+// TestSetIndexes checks the lookups Add builds against the rule order:
+// premise runs cover every rule once, in order, and split wherever the
+// premise attribute (compared case-insensitively) changes, a premise has
+// two clauses, or a range does not start above the previous one;
+// attribute lookups keep insertion order; a duplicate rule number
+// resolves to the first rule that carried it.
+func TestSetIndexes(t *testing.T) {
+	disp, typ := Attr("CLASS", "Displacement"), Attr("CLASS", "Type")
+	rule := func(id int, x AttrRef, lo, hi int64) *Rule {
+		return &Rule{ID: id, LHS: []Clause{RangeClause(x, relation.Int(lo), relation.Int(hi))},
+			RHS: PointClause(typ, relation.String("SSN"))}
+	}
+	two := &Rule{ID: 4, LHS: []Clause{PointClause(disp, relation.Int(1)), PointClause(typ, relation.String("SSN"))},
+		RHS: PointClause(disp, relation.Int(2))}
+	s := NewSet()
+	for _, r := range []*Rule{rule(1, disp, 1, 3), rule(2, Attr("class", "DISPLACEMENT"), 4, 9), rule(3, disp, 9, 12),
+		rule(6, typ, 1, 1), two, rule(5, disp, 1, 1), rule(5, typ, 1, 1)} {
+		s.Add(r)
+	}
+	var runs [][]int
+	var keys []string
+	for _, run := range s.PremiseRuns() {
+		keys = append(keys, run.Key)
+		var ids []int
+		for _, r := range run.Rules {
+			ids = append(ids, r.ID)
+		}
+		runs = append(runs, ids)
+	}
+	wantKeys := []string{"class.displacement", "class.displacement", "class.type", "", "class.displacement", "class.type"}
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Errorf("run keys = %q, want %q", keys, wantKeys)
+	}
+	if want := [][]int{{1, 2}, {3}, {6}, {4}, {5}, {5}}; !reflect.DeepEqual(runs, want) {
+		t.Errorf("runs = %v, want %v", runs, want)
+	}
+	idsOf := func(rs []*Rule) []int {
+		var out []int
+		for _, r := range rs {
+			out = append(out, r.ID)
+		}
+		return out
+	}
+	if got := idsOf(s.WithConsequenceOn(disp)); !reflect.DeepEqual(got, []int{4}) {
+		t.Errorf("WithConsequenceOn = %v, want [4]", got)
+	}
+	if r, ok := s.ByID(5); !ok || r.LHS[0].Attr != disp {
+		t.Errorf("ByID(5) = %v, %v; want the first rule numbered 5", r, ok)
 	}
 }
 
