@@ -7,9 +7,10 @@ import (
 	"intensional/internal/rules"
 )
 
-// TestDomainCachesConcurrent hammers the lazily filled active-domain and
-// sorted-value caches from many goroutines — the access pattern of
-// concurrent queries sharing one published dictionary. Run under -race.
+// TestDomainCachesConcurrent hammers SnapToObserved, whose first calls
+// build the relations' column indexes, from many goroutines — the access
+// pattern of concurrent queries sharing one published dictionary. Run
+// under -race.
 func TestDomainCachesConcurrent(t *testing.T) {
 	d := shipDict(t)
 	attrs := []rules.AttrRef{
@@ -25,13 +26,13 @@ func TestDomainCachesConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				a := attrs[(g+i)%len(attrs)]
-				iv, err := d.ActiveDomain(a)
-				if err != nil {
-					t.Errorf("ActiveDomain(%s): %v", a, err)
+				iv, ok, err := d.SnapToObserved(a, rules.Everything())
+				if err != nil || !ok {
+					t.Errorf("active domain of %s: ok=%v err=%v", a, ok, err)
 					return
 				}
-				if _, ok, err := d.SnapToObserved(a, iv); err != nil || !ok {
-					t.Errorf("SnapToObserved(%s): ok=%v err=%v", a, ok, err)
+				if again, ok, err := d.SnapToObserved(a, iv); err != nil || !ok || again.String() != iv.String() {
+					t.Errorf("SnapToObserved(%s, %s) = %s: ok=%v err=%v", a, iv, again, ok, err)
 					return
 				}
 			}

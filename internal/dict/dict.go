@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"intensional/internal/relation"
 	"intensional/internal/rules"
@@ -105,10 +104,11 @@ func containsFold(list []string, s string) bool {
 // Concurrency contract: a dictionary is built single-threaded (the Add*
 // declaration methods, Apply, SetRules, LoadRules), then may serve any
 // number of concurrent readers — the inference processor and the
-// inducer only read declarations and rules. The lazily filled domain
-// caches are the one piece of state readers mutate, so they carry their
-// own lock; everything else must be frozen before the dictionary is
-// shared. core.System enforces this by publishing dictionaries in
+// inducer only read declarations and rules. A dictionary holds no state
+// that readers fill in: the ordered active domains it snaps conditions
+// to are the catalog relations' own column indexes, which lock
+// themselves. Everything must be frozen before the dictionary is
+// shared; core.System enforces this by publishing dictionaries in
 // immutable snapshots and building a fresh one for each Induce.
 type Dictionary struct {
 	cat         *storage.Catalog
@@ -117,21 +117,6 @@ type Dictionary struct {
 	rels        []*Relationship
 	levels      []Link // hierarchy-level links, e.g. SUBMARINE.Class = CLASS.Class
 	ruleSet     *rules.Set
-
-	cmu     sync.RWMutex              // protects the lazily filled caches below
-	domains map[string]rules.Interval // guarded by cmu — lower(attr key) → cached active domain
-	values  map[string]observed       // guarded by cmu — lower(attr key) → cached sorted distinct values
-}
-
-// observed is an attribute's distinct non-null values in ascending
-// order. ordered reports that Compare orders every pair of them: false
-// when the attribute mixes strings with numbers or holds a NaN, which
-// compares equal to every number. Only an ordered slice may be
-// binary-searched; otherwise its order is whatever sorting under Less
-// left.
-type observed struct {
-	vals    []relation.Value
-	ordered bool
 }
 
 // New creates an empty dictionary over the catalog.
@@ -140,8 +125,6 @@ func New(cat *storage.Catalog) *Dictionary {
 		cat:         cat,
 		hierarchies: make(map[string]*Hierarchy),
 		ruleSet:     rules.NewSet(),
-		domains:     make(map[string]rules.Interval),
-		values:      make(map[string]observed),
 	}
 }
 
@@ -251,123 +234,68 @@ func (d *Dictionary) SetRules(s *rules.Set) { d.ruleSet = s }
 // Rules returns the induced rule base.
 func (d *Dictionary) Rules() *rules.Set { return d.ruleSet }
 
-// ActiveDomain computes (and caches) the observed [min..max] interval of
-// an attribute. The inference processor clips query conditions to it —
-// the closed-world step that lets a premise with a finite upper bound
-// subsume an unbounded condition (Example 1).
-func (d *Dictionary) ActiveDomain(a rules.AttrRef) (rules.Interval, error) {
-	key := a.Key()
-	d.cmu.RLock()
-	iv, ok := d.domains[key]
-	d.cmu.RUnlock()
-	if ok {
-		return iv, nil
-	}
-	rel, err := d.cat.Get(a.Relation)
-	if err != nil {
-		return rules.Interval{}, err
-	}
-	min, okMin, err := rel.Min(a.Attribute)
-	if err != nil {
-		return rules.Interval{}, err
-	}
-	max, okMax, err := rel.Max(a.Attribute)
-	if err != nil {
-		return rules.Interval{}, err
-	}
-	if !okMin || !okMax {
-		return rules.Interval{}, fmt.Errorf("dict: attribute %s has no values", a)
-	}
-	iv = rules.Range(min, max)
-	// Concurrent misses may compute the interval twice; both arrive at
-	// the same value, so last-write-wins is fine.
-	d.cmu.Lock()
-	d.domains[key] = iv
-	d.cmu.Unlock()
-	return iv, nil
-}
-
-// InvalidateDomains clears the active-domain caches (call after data
-// mutation).
-func (d *Dictionary) InvalidateDomains() {
-	d.cmu.Lock()
-	defer d.cmu.Unlock()
-	d.domains = make(map[string]rules.Interval)
-	d.values = make(map[string]observed)
-}
-
-// sortedValues returns (and caches) the attribute's distinct values in
-// ascending order, and whether that order is total.
-func (d *Dictionary) sortedValues(a rules.AttrRef) (observed, error) {
-	key := a.Key()
-	d.cmu.RLock()
-	obs, ok := d.values[key]
-	d.cmu.RUnlock()
-	if ok {
-		return obs, nil
-	}
-	rel, err := d.cat.Get(a.Relation)
-	if err != nil {
-		return observed{}, err
-	}
-	col, err := rel.Column(a.Attribute)
-	if err != nil {
-		return observed{}, err
-	}
-	seen := make(map[string]struct{}, len(col))
-	out := make([]relation.Value, 0, len(col))
-	ordered := true
-	for _, v := range col {
-		if v.IsNull() {
-			continue
-		}
-		if _, dup := seen[v.Key()]; dup {
-			continue
-		}
-		seen[v.Key()] = struct{}{}
-		out = append(out, v)
-		if !out[0].Comparable(v) || v.IsNaN() {
-			ordered = false
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	obs = observed{vals: out, ordered: ordered}
-	d.cmu.Lock()
-	d.values[key] = obs
-	d.cmu.Unlock()
-	return obs, nil
-}
-
 // SnapToObserved tightens a condition interval to the smallest closed
 // interval covering the attribute's observed values inside it — the
 // closed-world normalisation the inference processor applies to query
 // conditions. ok is false when no observed value satisfies the condition
-// (the extensional answer is provably empty).
+// (the extensional answer is provably empty). Each endpoint is the
+// first row holding its value, so of two equal values (3 and 3.0, 0 and
+// -0) the one stored earlier represents both.
+//
+// The observed values are read from the relation's index on the
+// attribute, whose ascending order puts the values inside iv in one
+// contiguous stretch. A column the relation refuses to index (mixed
+// kinds, or a NaN) is scanned instead.
 func (d *Dictionary) SnapToObserved(a rules.AttrRef, iv rules.Interval) (snapped rules.Interval, ok bool, err error) {
-	obs, err := d.sortedValues(a)
+	rel, err := d.cat.Get(a.Relation)
 	if err != nil {
 		return rules.Interval{}, false, err
 	}
-	vs := obs.vals
-	// lo and hi index the first and last observed values inside iv.
-	var lo, hi int
-	if obs.ordered {
-		// The values inside iv are one contiguous stretch of vs.
-		lo = sort.Search(len(vs), func(i int) bool { return iv.AboveLo(vs[i]) })
-		hi = sort.Search(len(vs), func(i int) bool { return !iv.BelowHi(vs[i]) }) - 1
-	} else {
-		lo, hi = 0, len(vs)-1
-		for lo < len(vs) && !iv.Contains(vs[lo]) {
-			lo++
-		}
-		for hi > lo && !iv.Contains(vs[hi]) {
-			hi--
-		}
+	ci, found := rel.Schema().Index(a.Attribute)
+	if !found {
+		return rules.Interval{}, false, fmt.Errorf("dict: relation %s has no attribute %q", a.Relation, a.Attribute)
 	}
-	if lo > hi || !iv.Contains(vs[lo]) || !iv.Contains(vs[hi]) {
+	ix, err := rel.Index(ci)
+	if err != nil {
+		lo, hi, ok := linearSnap(rel, ci, iv)
+		if !ok {
+			return rules.Interval{}, false, nil
+		}
+		return rules.Range(lo, hi), true, nil
+	}
+	n := ix.Len()
+	lo := sort.Search(n, func(p int) bool { return iv.AboveLo(ix.Value(p)) })
+	end := sort.Search(n, func(p int) bool { return !iv.BelowHi(ix.Value(p)) })
+	if lo >= end {
 		return rules.Interval{}, false, nil
 	}
-	return rules.Range(vs[lo], vs[hi]), true, nil
+	// Move the upper endpoint to the first of its equal values.
+	hi := ix.Value(end - 1)
+	first := sort.Search(end, func(p int) bool { return !ix.Value(p).Less(hi) })
+	return rules.Range(ix.Value(lo), ix.Value(first)), true, nil
+}
+
+// linearSnap is SnapToObserved over a column without a total order: the
+// least and greatest values inside iv under Less, walking the rows in
+// order and keeping the earlier of two values neither is less than.
+func linearSnap(rel *relation.Relation, ci int, iv rules.Interval) (lo, hi relation.Value, ok bool) {
+	for _, row := range rel.Rows() {
+		v := row[ci]
+		if v.IsNull() || !iv.Contains(v) {
+			continue
+		}
+		if !ok {
+			lo, hi, ok = v, v, true
+			continue
+		}
+		if v.Less(lo) {
+			lo = v
+		}
+		if hi.Less(v) {
+			hi = v
+		}
+	}
+	return lo, hi, ok
 }
 
 // StoreRules encodes the rule base into rule relations and places them in
@@ -451,29 +379,6 @@ func (d *Dictionary) renderLevel(b *strings.Builder, object, prefix string) erro
 		return d.renderLevel(b, up.To.Relation, prefix+"  ")
 	}
 	return nil
-}
-
-// ValidateHierarchy checks the Section 2 partition property for one
-// hierarchy: every stored instance's classifying value names exactly one
-// declared subtype (the subsets are disjoint by construction since the
-// classifying value is a function of the tuple; coverage can fail). It
-// returns the distinct classifying values with no declared subtype.
-func (d *Dictionary) ValidateHierarchy(object string) ([]relation.Value, error) {
-	h, ok := d.Hierarchy(object)
-	if !ok {
-		return nil, fmt.Errorf("dict: no hierarchy on %q", object)
-	}
-	obs, err := d.sortedValues(h.Attr())
-	if err != nil {
-		return nil, err
-	}
-	var missing []relation.Value
-	for _, v := range obs.vals {
-		if _, ok := h.SubtypeFor(v); !ok {
-			missing = append(missing, v)
-		}
-	}
-	return missing, nil
 }
 
 // HierarchyOfSubtype finds the hierarchy that declares a subtype of the

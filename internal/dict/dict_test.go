@@ -67,61 +67,71 @@ func TestRelationshipsAndLevels(t *testing.T) {
 	}
 }
 
+// TestActiveDomain: snapping the unbounded interval yields an
+// attribute's active domain, the observed [min..max] the inference
+// processor clips conditions to (Example 1).
 func TestActiveDomain(t *testing.T) {
 	d := shipDict(t)
-	iv, err := d.ActiveDomain(rules.Attr("CLASS", "Displacement"))
-	if err != nil {
-		t.Fatal(err)
+	iv, ok, err := d.SnapToObserved(rules.Attr("CLASS", "Displacement"), rules.Everything())
+	if err != nil || !ok {
+		t.Fatalf("active domain: ok=%v err=%v", ok, err)
 	}
 	if got := iv.String(); got != "[2145..30000]" {
 		t.Errorf("active domain = %s", got)
 	}
-	// Cached value must be served after invalidation of the underlying
-	// data only when not invalidated.
-	iv2, err := d.ActiveDomain(rules.Attr("CLASS", "Displacement"))
-	if err != nil || iv2.String() != iv.String() {
-		t.Errorf("cached domain = %s %v", iv2, err)
-	}
-	d.InvalidateDomains()
-	if _, err := d.ActiveDomain(rules.Attr("CLASS", "Displacement")); err != nil {
-		t.Errorf("after invalidate: %v", err)
-	}
-	if _, err := d.ActiveDomain(rules.Attr("NOPE", "X")); err == nil {
+	if _, _, err := d.SnapToObserved(rules.Attr("NOPE", "X"), rules.Everything()); err == nil {
 		t.Error("unknown relation should error")
 	}
-	if _, err := d.ActiveDomain(rules.Attr("CLASS", "Nope")); err == nil {
+	if _, _, err := d.SnapToObserved(rules.Attr("CLASS", "Nope"), rules.Everything()); err == nil {
 		t.Error("unknown attribute should error")
 	}
 }
 
+// unclassified returns the classifying values of object's rows that no
+// declared subtype names.
+func unclassified(t *testing.T, d *dict.Dictionary, object string) []relation.Value {
+	t.Helper()
+	h, ok := d.Hierarchy(object)
+	if !ok {
+		t.Fatalf("no hierarchy on %s", object)
+	}
+	rel, err := d.Catalog().Get(object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := rel.Column(h.ClassifyingAttr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var missing []relation.Value
+	for _, v := range vals {
+		if _, ok := h.SubtypeFor(v); !ok {
+			missing = append(missing, v)
+		}
+	}
+	return missing
+}
+
+// TestValidateHierarchy checks the Section 2 partition property on the
+// test bed: every stored instance's classifying value names exactly one
+// declared subtype, and an unclassified value shows.
 func TestValidateHierarchy(t *testing.T) {
 	d := shipDict(t)
-	// All three ship hierarchies cover their data.
 	for _, obj := range []string{"SUBMARINE", "CLASS", "SONAR"} {
-		missing, err := d.ValidateHierarchy(obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(missing) != 0 {
+		if missing := unclassified(t, d, obj); len(missing) != 0 {
 			t.Errorf("%s hierarchy misses values %v", obj, missing)
 		}
 	}
-	if _, err := d.ValidateHierarchy("TYPE"); err == nil {
-		t.Error("TYPE has no hierarchy; expected error")
+	if _, ok := d.Hierarchy("TYPE"); ok {
+		t.Error("TYPE has no hierarchy")
 	}
-	// Inject an unclassified value.
 	cls, err := d.Catalog().Get("CLASS")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cls.MustInsert(relation.String("7777"), relation.String("X"),
 		relation.String("SSGN"), relation.Int(9000))
-	d.InvalidateDomains()
-	missing, err := d.ValidateHierarchy("CLASS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) != 1 || missing[0].Str() != "SSGN" {
+	if missing := unclassified(t, d, "CLASS"); len(missing) != 1 || missing[0].Str() != "SSGN" {
 		t.Errorf("missing = %v", missing)
 	}
 }
@@ -153,13 +163,15 @@ func TestSnapToObserved(t *testing.T) {
 	if _, _, err := d.SnapToObserved(rules.Attr("CLASS", "Nope"), cond); err == nil {
 		t.Error("unknown attribute should error")
 	}
-	// Cache survives and invalidates.
-	if _, ok, _ := d.SnapToObserved(attr, cond); !ok {
-		t.Error("cached snap failed")
+	// A row written in place is observed by the next snap.
+	cls, err := d.Catalog().Get("CLASS")
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.InvalidateDomains()
-	if _, ok, _ := d.SnapToObserved(attr, cond); !ok {
-		t.Error("snap after invalidate failed")
+	cls.MustInsert(relation.String("7777"), relation.String("X"),
+		relation.String("SSBN"), relation.Int(40000))
+	if snapped, ok, _ := d.SnapToObserved(attr, cond); !ok || snapped.String() != "[16600..40000]" {
+		t.Errorf("snap after insert = %s, %v; want [16600..40000]", snapped, ok)
 	}
 }
 

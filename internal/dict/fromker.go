@@ -97,11 +97,10 @@ func deriveHierarchy(d *Dictionary, o *ker.ObjectType) (*Hierarchy, error) {
 	}
 	var best *candidate
 	for _, col := range rel.Schema().Columns() {
-		obs, err := d.sortedValues(rules.Attr(o.Name, col.Name))
+		vals, err := rel.Column(col.Name)
 		if err != nil {
 			return nil, err
 		}
-		vals := obs.vals
 		c := candidate{attr: col.Name}
 		for _, sub := range o.Subtypes {
 			if v, ok := matchSubtype(sub, vals); ok {
@@ -130,24 +129,31 @@ func deriveHierarchy(d *Dictionary, o *ker.ObjectType) (*Hierarchy, error) {
 }
 
 // matchSubtype finds the stored value a subtype name stands for: an
-// exact (case-insensitive) value, or a value the name ends with
-// (subtype C0101 ↔ value "0101").
+// exact (case-insensitive) value, or failing that a value the name ends
+// with (subtype C0101 ↔ value "0101"). Of several matches it picks the
+// least under Less, so the answer does not depend on row order.
 func matchSubtype(name string, vals []relation.Value) (relation.Value, bool) {
-	for _, v := range vals {
-		if v.Kind() == relation.KindString && strings.EqualFold(v.Str(), name) {
-			return v, true
-		}
-	}
+	var exact, suffix relation.Value
 	for _, v := range vals {
 		if v.Kind() != relation.KindString {
 			continue // suffix matching on numbers is coincidental
 		}
 		s := v.Str()
+		switch {
+		case strings.EqualFold(s, name):
+			if exact.IsNull() || v.Less(exact) {
+				exact = v
+			}
 		// Allow at most a two-character prefix (C0101 ↔ "0101").
-		if len(s) > 0 && len(name) > len(s) && len(name)-len(s) <= 2 &&
-			strings.EqualFold(name[len(name)-len(s):], s) {
-			return v, true
+		case len(s) > 0 && len(name) > len(s) && len(name)-len(s) <= 2 &&
+			strings.EqualFold(name[len(name)-len(s):], s):
+			if suffix.IsNull() || v.Less(suffix) {
+				suffix = v
+			}
 		}
 	}
-	return relation.Value{}, false
+	if !exact.IsNull() {
+		return exact, true
+	}
+	return suffix, !suffix.IsNull()
 }

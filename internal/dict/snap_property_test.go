@@ -11,20 +11,26 @@ import (
 	"intensional/internal/storage"
 )
 
-// linearSnap is the specification SnapToObserved's binary search must
-// meet: test every cached observed value with Contains and keep the
-// first and last inside the interval.
-func linearSnap(vs []relation.Value, iv rules.Interval) (rules.Interval, bool) {
+// referenceSnap is the specification SnapToObserved's binary search
+// must meet: test every stored value with Contains and keep the least
+// and the greatest inside the interval, the earlier row of two that
+// neither is less than.
+func referenceSnap(vs []relation.Value, iv rules.Interval) (rules.Interval, bool) {
 	var lo, hi relation.Value
 	found := false
 	for _, v := range vs {
-		if !iv.Contains(v) {
+		if v.IsNull() || !iv.Contains(v) {
 			continue
 		}
 		if !found {
-			lo, found = v, true
+			lo, hi, found = v, v, true
 		}
-		hi = v
+		if v.Less(lo) {
+			lo = v
+		}
+		if hi.Less(v) {
+			hi = v
+		}
 	}
 	if !found {
 		return rules.Interval{}, false
@@ -32,13 +38,17 @@ func linearSnap(vs []relation.Value, iv rules.Interval) (rules.Interval, bool) {
 	return rules.Range(lo, hi), true
 }
 
+// sameValue reports whether two endpoints are one value: Equal, and of
+// one kind, so Int(3) and Float(3) still differ.
+func sameValue(a, b relation.Value) bool { return a.Equal(b) && a.Kind() == b.Kind() }
+
 // snapColumn is one generated attribute: its stored values and whether
 // their order must come out total.
 type snapColumn struct {
 	name    string
 	typ     relation.Type
 	vals    []relation.Value
-	ordered bool // whether sortedValues must find the order total
+	ordered bool // whether the relation must accept the column for indexing
 }
 
 func genSnapColumns(rr *rand.Rand) []snapColumn {
@@ -109,10 +119,11 @@ func genBound(rr *rand.Rand, c snapColumn) rules.Bound {
 
 // TestSnapToObservedMatchesLinearProperty: on random columns of every
 // kind — including a float column holding NaN and a column mixing
-// strings with integers, where only the linear scan is sound — and for
-// random intervals (open, closed, unbounded, empty, points on and off
-// observed values, bounds of the other kind), SnapToObserved returns
-// exactly what a scan of every observed value returns.
+// strings with integers, which the relation refuses to index so only
+// the linear scan serves them — and for random intervals (open, closed,
+// unbounded, empty, points on and off observed values, bounds of the
+// other kind), SnapToObserved returns exactly what a scan of every
+// stored value returns.
 func TestSnapToObservedMatchesLinearProperty(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rr := rand.New(rand.NewSource(seed))
@@ -135,16 +146,17 @@ func TestSnapToObservedMatchesLinearProperty(t *testing.T) {
 		cat := storage.NewCatalog()
 		// FromRows skips the conformance check, which is what lets the
 		// Mixed column hold strings and integers at once.
-		cat.Put(relation.FromRows("T", relation.MustSchema(schema...), rows))
+		rel := relation.FromRows("T", relation.MustSchema(schema...), rows)
+		cat.Put(rel)
 		d := New(cat)
-		for _, c := range cols {
+		for ci, c := range cols {
 			attr := rules.Attr("T", c.name)
-			obs, err := d.sortedValues(attr)
+			if _, err := rel.Index(ci); (err == nil) != c.ordered {
+				t.Fatalf("seed %d %s: index error %v, want indexable = %v", seed, c.name, err, c.ordered)
+			}
+			stored, err := rel.Column(c.name)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if obs.ordered != c.ordered {
-				t.Fatalf("seed %d %s: ordered = %v, want %v", seed, c.name, obs.ordered, c.ordered)
 			}
 			for k := 0; k < 40; k++ {
 				var iv rules.Interval
@@ -153,15 +165,13 @@ func TestSnapToObservedMatchesLinearProperty(t *testing.T) {
 				} else {
 					iv = rules.Interval{Lo: genBound(rr, c), Hi: genBound(rr, c)}
 				}
-				want, wantOK := linearSnap(obs.vals, iv)
+				want, wantOK := referenceSnap(stored, iv)
 				got, gotOK, err := d.SnapToObserved(attr, iv)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Both answers are drawn from the same cached values, so
-				// equal keys mean the same value.
 				if gotOK != wantOK || got.String() != want.String() ||
-					got.Lo.Value.Key() != want.Lo.Value.Key() || got.Hi.Value.Key() != want.Hi.Value.Key() {
+					!sameValue(got.Lo.Value, want.Lo.Value) || !sameValue(got.Hi.Value, want.Hi.Value) {
 					t.Fatalf("seed %d %s: snap %s = %s, %v; linear scan gives %s, %v",
 						seed, c.name, iv, got, gotOK, want, wantOK)
 				}

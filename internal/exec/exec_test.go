@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -81,12 +82,8 @@ func TestFullScanStreamsInRowOrder(t *testing.T) {
 
 func TestIndexScanServesFromIndex(t *testing.T) {
 	rel := numbers(t, "R", 100, func(i int) string { return fmt.Sprint("v", i%7) })
-	ix, err := rel.BuildIndex("K")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var indexScans, fullScans int
-	op := exec.NewIndexScan(rel, ix, ">=", relation.Int(97), nil, exec.IndexScanHooks{
+	op := exec.NewIndexScan(rel, 0, ">=", relation.Int(97), nil, exec.IndexScanHooks{
 		OnIndexScan: func() { indexScans++ },
 		OnFullScan:  func() { fullScans++ },
 	})
@@ -104,50 +101,57 @@ func TestIndexScanServesFromIndex(t *testing.T) {
 	}
 }
 
+// TestIndexScanRebuildsStaleIndexOnce: a row inserted in place after
+// the relation's index was built is seen by the next scan, which is
+// served by one rebuilt index that later scans share.
 func TestIndexScanRebuildsStaleIndexOnce(t *testing.T) {
 	rel := numbers(t, "R", 50, func(i int) string { return "x" })
-	ix, err := rel.BuildIndex("K")
+	planned, err := rel.Index(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Invalidate the index.
 	mustInsert(t, rel, relation.Tuple{relation.Int(7), relation.String("dup")})
-	rebuilds, indexScans := 0, 0
-	op := exec.NewIndexScan(rel, ix, "=", relation.Int(7), nil, exec.IndexScanHooks{
-		Rebuild: func() *relation.Index {
-			rebuilds++
-			ix2, err := rel.BuildIndex("K")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ix2
-		},
+	indexScans := 0
+	hooks := exec.IndexScanHooks{
 		OnIndexScan: func() { indexScans++ },
 		OnFallback:  func(reason string) { t.Fatalf("unexpected fallback: %s", reason) },
-	})
-	rows := collect(t, op)
-	if rebuilds != 1 || indexScans != 1 {
-		t.Fatalf("rebuilds=%d indexScans=%d, want 1/1", rebuilds, indexScans)
+	}
+	rows := collect(t, exec.NewIndexScan(rel, 0, "=", relation.Int(7), nil, hooks))
+	if indexScans != 1 {
+		t.Fatalf("indexScans=%d, want 1", indexScans)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2 (original 7 plus the duplicate)", len(rows))
 	}
-}
-
-func TestIndexScanFallsBackLoudly(t *testing.T) {
-	rel := numbers(t, "R", 30, func(i int) string { return "x" })
-	ix, err := rel.BuildIndex("K")
+	rebuilt, err := rel.Index(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustInsert(t, rel, relation.Tuple{relation.Int(5), relation.String("dup")})
+	if rebuilt == planned || !rebuilt.Fresh() {
+		t.Fatalf("index after the insert: same as before = %v, fresh = %v; want a new, fresh one",
+			rebuilt == planned, rebuilt.Fresh())
+	}
+	collect(t, exec.NewIndexScan(rel, 0, "=", relation.Int(7), nil, hooks))
+	if again, _ := rel.Index(0); again != rebuilt {
+		t.Error("a second scan rebuilt the index again")
+	}
+}
+
+// TestIndexScanFallsBackLoudly: a column the relation refuses to index
+// (here, one holding a NaN) degrades the scan to a full scan that
+// re-checks the selection, and says why.
+func TestIndexScanFallsBackLoudly(t *testing.T) {
+	rel := relation.New("F", relation.MustSchema(relation.Column{Name: "X", Type: relation.TFloat}))
+	for i := 0; i < 30; i++ {
+		mustInsert(t, rel, relation.Tuple{relation.Float(float64(i))})
+	}
+	mustInsert(t, rel, relation.Tuple{relation.Float(5)}, relation.Tuple{relation.Float(math.NaN())})
 	var reason string
 	fullScans := 0
-	op := exec.NewIndexScan(rel, ix, "=", relation.Int(5),
-		func(tu relation.Tuple) bool { return tu[0].Int64() == 5 },
+	op := exec.NewIndexScan(rel, 0, "=", relation.Float(5),
+		func(tu relation.Tuple) bool { return tu[0].Float64() == 5 },
 		exec.IndexScanHooks{
-			Rebuild:     func() *relation.Index { return nil },
-			OnIndexScan: func() { t.Fatal("index scan fired for a stale index") },
+			OnIndexScan: func() { t.Fatal("index scan fired for an unindexable column") },
 			OnFullScan:  func() { fullScans++ },
 			OnFallback:  func(r string) { reason = r },
 		})
@@ -155,8 +159,8 @@ func TestIndexScanFallsBackLoudly(t *testing.T) {
 	if fullScans != 1 {
 		t.Fatalf("fullScans=%d, want 1", fullScans)
 	}
-	if !strings.Contains(reason, "stale") {
-		t.Fatalf("fallback reason %q does not mention staleness", reason)
+	if !strings.Contains(reason, "NaN") {
+		t.Fatalf("fallback reason %q does not mention the NaN", reason)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2 (selection re-checked during fallback)", len(rows))

@@ -53,13 +53,9 @@ func (s *FullScan) Next(b *Batch) error {
 // Close releases nothing; full scans hold no resources.
 func (s *FullScan) Close() error { return nil }
 
-// IndexScanHooks wires an index scan to the planner's observability: a
-// one-shot rebuild of a stale index, and the scan/fallback counters.
-// Every field is optional.
+// IndexScanHooks wires an index scan to the planner's observability:
+// the scan and fallback counters. Every field is optional.
 type IndexScanHooks struct {
-	// Rebuild is asked for a fresh index once when the planned one has
-	// gone stale; returning nil degrades the scan to a full scan.
-	Rebuild func() *relation.Index
 	// OnIndexScan fires when the index serves the scan.
 	OnIndexScan func()
 	// OnFullScan fires when the scan degrades to a full scan.
@@ -69,12 +65,14 @@ type IndexScanHooks struct {
 }
 
 // IndexScan streams the rows a secondary index selects for "column op
-// value", in row order. A stale index is rebuilt once at Open; if that
-// fails too, the scan degrades — loudly, through the hooks — to a full
-// scan that re-checks the selection per row.
+// value", in row order. The index is the relation's own (Relation.Index),
+// fetched at Open, so a relation written since planning is served from
+// an index of its current rows. If the relation cannot index the column,
+// the scan degrades — loudly, through the hooks — to a full scan that
+// re-checks the selection per row.
 type IndexScan struct {
 	rel   *relation.Relation
-	ix    *relation.Index
+	col   int
 	op    string
 	val   relation.Value
 	sel   Pred // the selection predicate, re-checked only in fallback mode
@@ -86,30 +84,26 @@ type IndexScan struct {
 	fallback bool // degrade to full scan + sel recheck
 }
 
-// NewIndexScan builds an index scan over rel. sel must decide the same
-// "column op value" condition the index serves; it is consulted only
-// when the scan degrades to a full scan.
-func NewIndexScan(rel *relation.Relation, ix *relation.Index,
+// NewIndexScan builds an index scan over column col of rel. sel must
+// decide the same "column op value" condition the index serves; it is
+// consulted only when the scan degrades to a full scan.
+func NewIndexScan(rel *relation.Relation, col int,
 	op string, val relation.Value, sel Pred, hooks IndexScanHooks) *IndexScan {
-	return &IndexScan{rel: rel, ix: ix, op: op, val: val, sel: sel, hooks: hooks}
+	return &IndexScan{rel: rel, col: col, op: op, val: val, sel: sel, hooks: hooks}
 }
 
 // Schema returns the scanned relation's schema.
 func (s *IndexScan) Schema() *relation.Schema { return s.rel.Schema() }
 
-// Open performs the index lookup (rebuilding a stale index once) or
-// arms the fallback full scan.
+// Open performs the index lookup or arms the fallback full scan.
 func (s *IndexScan) Open(ctx context.Context) error {
 	s.ctx = ctx
 	s.pos = 0
 	s.fallback = false
-	ix := s.ix
-	rows, err := ix.Lookup(s.op, s.val)
-	if err != nil && s.hooks.Rebuild != nil {
-		// Stale index: rebuild and retry once before degrading.
-		if ix2 := s.hooks.Rebuild(); ix2 != nil {
-			rows, err = ix2.Lookup(s.op, s.val)
-		}
+	ix, err := s.rel.Index(s.col)
+	var rows []int
+	if err == nil {
+		rows, err = ix.Lookup(s.op, s.val)
 	}
 	if err != nil {
 		if s.hooks.OnFallback != nil {

@@ -22,12 +22,14 @@ import (
 // EXPLAIN and execution), query.Prepared (the prepared-statement
 // cache), exec.Tree (the plan node and operator factory a prepared
 // statement runs), quel.RetrievePlan/scanPlan/accessPath (a planned
-// retrieve and the access paths it is lowered from), and core.Response
-// / core.snapshot (the cached responses and the snapshot chain).
-// Internally-locked caches hanging off a snapshot (stmtCache, its stmt
-// entries and their bodyMemo of encoded response bodies, IndexCache) are
-// the sanctioned mutable leaves and are deliberately not frozen —
-// lockguard owns their contracts.
+// retrieve and the access paths it is lowered from), core.Response /
+// core.snapshot (the cached responses and the snapshot chain), and
+// relation.Index (a column index, shared by every reader of its
+// relation across snapshots). Internally-locked caches hanging off a
+// snapshot (stmtCache, its stmt entries and their bodyMemo of encoded
+// response bodies, a relation's index set of indexSlots) are the
+// sanctioned mutable leaves and are deliberately not frozen — lockguard
+// owns their contracts.
 //
 // The pass reports:
 //
@@ -49,10 +51,11 @@ var snapfreezePass = &Pass{
 // frozenNamedTypes lists the frozen types outside internal/plan, keyed
 // by package-path suffix.
 var frozenNamedTypes = map[string]map[string]bool{
-	"internal/query": {"Prepared": true},
-	"internal/exec":  {"Tree": true},
-	"internal/quel":  {"RetrievePlan": true, "scanPlan": true, "accessPath": true},
-	"internal/core":  {"Response": true, "snapshot": true},
+	"internal/query":    {"Prepared": true},
+	"internal/exec":     {"Tree": true},
+	"internal/quel":     {"RetrievePlan": true, "scanPlan": true, "accessPath": true},
+	"internal/core":     {"Response": true, "snapshot": true},
+	"internal/relation": {"Index": true},
 }
 
 // frozenType reports whether t (after pointer deref) is a frozen type.
@@ -253,7 +256,7 @@ func mutationSummaries(g *CallGraph, freshRet map[*types.Func]bool) map[*types.F
 // it is frozen. Writing `p.Cols[i]` mutates the plan p (the []string is
 // anonymous memory of the plan); writing `sn.stmts.m[k]` mutates the
 // stmtCache, not the snapshot — the chain hits a named, non-frozen type
-// first, and those (stmtCache, stmt, bodyMemo, IndexCache, Catalog, the
+// first, and those (stmtCache, stmt, bodyMemo, indexSlot, Catalog, the
 // query Processor) are the sanctioned internally-locked mutable leaves
 // whose contracts lockguard owns.
 func frozenWriteBase(pkg *Package, e ast.Expr) (*types.Named, bool) {

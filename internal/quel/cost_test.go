@@ -173,13 +173,18 @@ func TestScanCounters(t *testing.T) {
 }
 
 // TestSharedIndexCache: an index one statement builds serves every
-// later statement planned on the same planner — one build, not one per
-// statement.
+// later statement on the same relation — one build, not one per
+// statement. The index is the relation's, so a second planner over the
+// same catalog shares it too.
 func TestSharedIndexCache(t *testing.T) {
 	cat := bigCatalog(t, 200)
-	pl := NewPlanner(cat, nil, nil)
+	var c Counters
+	pl := NewPlanner(cat, &c, nil)
 	ranges := map[string]string{"b": "BIG"}
-	const key = "big\x00K"
+	rel, err := cat.Get("BIG")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	res, err := planOn(t, pl, ranges, "retrieve (b.K) where b.K = 42").Run()
 	if err != nil {
@@ -188,20 +193,25 @@ func TestSharedIndexCache(t *testing.T) {
 	if res.Rel.Len() != 1 {
 		t.Fatalf("rows = %d, want 1", res.Rel.Len())
 	}
-	if pl.cache.Len() != 1 {
-		t.Fatalf("cache size = %d, want 1", pl.cache.Len())
-	}
-	built := pl.cache.m[key]
-
-	res, err = planOn(t, pl, ranges, "retrieve (b.G) where b.K = 42").Run()
+	built, err := rel.Index(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rel.Len() != 1 {
-		t.Fatalf("rows = %d, want 1", res.Rel.Len())
+
+	other := NewPlanner(cat, &c, nil)
+	for _, p := range []*Planner{pl, other} {
+		res, err = planOn(t, p, ranges, "retrieve (b.G) where b.K = 42").Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rel.Len() != 1 {
+			t.Fatalf("rows = %d, want 1", res.Rel.Len())
+		}
 	}
-	if pl.cache.Len() != 1 || pl.cache.m[key] != built {
-		t.Errorf("cache size = %d, index rebuilt = %v; want 1 shared index",
-			pl.cache.Len(), pl.cache.m[key] != built)
+	if n := c.IndexScans.Load(); n != 3 {
+		t.Errorf("IndexScans = %d, want 3", n)
+	}
+	if again, _ := rel.Index(0); again != built {
+		t.Error("a later statement rebuilt the index; want 1 shared index")
 	}
 }

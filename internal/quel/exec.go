@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"intensional/internal/exec"
@@ -23,62 +22,21 @@ type Counters struct {
 	// IndexScans counts access paths served by a secondary index.
 	IndexScans atomic.Int64
 	// IndexFallbacks counts access paths that wanted an index but had to
-	// degrade to a full scan — a stale index that could not be rebuilt,
-	// a mixed-kind column, or an incomparable probe value. A steadily
-	// climbing value means some query is quietly running O(n).
+	// degrade to a full scan — a column holding mixed kinds or a NaN,
+	// or an incomparable probe value. A steadily climbing value means
+	// some query is quietly running O(n).
 	IndexFallbacks atomic.Int64
 }
 
-// IndexCache holds a planner's lazily built secondary indexes. It lives
-// exactly as long as its Planner — on the SQL path, one catalog
-// snapshot — and is shared by every statement planned on it, including
-// concurrent ones. Entries are keyed by relation name but validated on
-// every lookup against the relation object the caller is actually
-// scanning: the index must have been built over that identical object
-// (Index.For — pointer identity, which catches a relation replaced under
-// the same name) and still match its version (Index.Fresh, which
-// catches a relation written in place by a QUEL statement). A cache that
-// outlives its data therefore degrades to rebuilds instead of serving
-// rows from a stale twin.
-type IndexCache struct {
-	mu sync.Mutex
-	m  map[string]*relation.Index // guarded by mu
-}
-
-// get returns the cached index under key only if it was built over rel
-// itself — a name match alone is not proof of identity.
-func (c *IndexCache) get(key string, rel *relation.Relation) *relation.Index {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ix := c.m[key]
-	if ix == nil || !ix.For(rel) {
-		return nil
-	}
-	return ix
-}
-
-func (c *IndexCache) put(key string, ix *relation.Index) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = ix
-}
-
-// Len reports the number of cached indexes.
-func (c *IndexCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Planner plans retrieve statements against one catalog. It owns the
-// catalog's secondary indexes, built lazily for selective conditions on
-// large relations and rebuilt automatically when the data changes, and
-// reports its access-path decisions to counters and a logger. A Planner
-// holds no per-statement state — every statement brings its own range
-// bindings — so one planner serves concurrent callers.
+// Planner plans retrieve statements against one catalog. Selective
+// conditions on large relations are served by the relation's own sorted
+// column indexes (relation.Relation.Index), which the relation rebuilds
+// when its data changes; the planner reports its access-path decisions
+// to counters and a logger. A Planner holds no per-statement state —
+// every statement brings its own range bindings — so one planner serves
+// concurrent callers.
 type Planner struct {
 	cat      *storage.Catalog
-	cache    *IndexCache
 	counters *Counters
 	logf     func(format string, args ...any)
 }
@@ -92,38 +50,25 @@ func NewPlanner(cat *storage.Catalog, counters *Counters, logf func(format strin
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Planner{
-		cat:      cat,
-		cache:    &IndexCache{m: make(map[string]*relation.Index)},
-		counters: counters,
-		logf:     logf,
-	}
+	return &Planner{cat: cat, counters: counters, logf: logf}
 }
-
-// IndexCache returns the planner's index cache.
-func (p *Planner) IndexCache() *IndexCache { return p.cache }
 
 // indexMinRows is the relation size below which a scan beats building an
 // index.
 const indexMinRows = 64
 
-// indexFor returns a fresh index on the relation's column, building or
-// rebuilding as needed. A nil index with an empty reason means indexing
-// is simply not worthwhile (small relation); a non-empty reason reports
-// a build failure the caller should surface as an index fallback.
-func (p *Planner) indexFor(rel *relation.Relation, col int) (*relation.Index, string) {
+// indexFor returns the relation's index on column col. A nil index with
+// an empty reason means indexing is simply not worthwhile (small
+// relation); a non-empty reason reports why the relation cannot index
+// the column, which the caller should surface as an index fallback.
+func indexFor(rel *relation.Relation, col int) (*relation.Index, string) {
 	if rel.Len() < indexMinRows {
 		return nil, ""
 	}
-	key := strings.ToLower(rel.Name()) + "\x00" + rel.Schema().Col(col).Name
-	if ix := p.cache.get(key, rel); ix != nil && ix.Fresh() {
-		return ix, ""
-	}
-	ix, err := rel.BuildIndex(rel.Schema().Col(col).Name)
+	ix, err := rel.Index(col)
 	if err != nil {
 		return nil, err.Error()
 	}
-	p.cache.put(key, ix)
 	return ix, ""
 }
 
@@ -582,12 +527,14 @@ func (sc *scope) analyse(e Expr) (*conjunct, error) {
 type accessPath struct {
 	slot  int
 	preds []*conjunct // all pushed-down single-variable conjuncts
-	// sel/ix, when set, serve the initial candidates from an index; sel
-	// is always one of preds (its predicate re-checks cost one compare).
-	sel *conjunct
-	ix  *relation.Index
+	// sel, when set, serves the initial candidates from the relation's
+	// index on its column, which holds count matching rows at plan time;
+	// sel is always one of preds (its predicate re-checks cost one
+	// compare).
+	sel   *conjunct
+	count int
 	// fallback records why an index-usable selection could not get an
-	// index at plan time (build failure on a mixed-kind column, count
+	// index at plan time (a column holding mixed kinds or a NaN, count
 	// error); empty when an index was chosen or none was applicable.
 	fallback string
 	est      int
@@ -662,11 +609,10 @@ func (sc *scope) plan(where Expr) (*scanPlan, error) {
 			}
 		}
 		rel := sc.rels[slot]
-		best := -1
 		failCol := ""
 		for _, c := range sels {
 			col := rel.Schema().Col(c.selAttr).Name
-			ix, reason := sc.pl.indexFor(rel, c.selAttr)
+			ix, reason := indexFor(rel, c.selAttr)
 			if ix == nil {
 				if reason != "" && ap.fallback == "" {
 					ap.fallback, failCol = reason, col
@@ -680,14 +626,14 @@ func (sc *scope) plan(where Expr) (*scanPlan, error) {
 				}
 				continue
 			}
-			if best < 0 || cnt < best {
-				best, ap.sel, ap.ix = cnt, c, ix
+			if ap.sel == nil || cnt < ap.count {
+				ap.sel, ap.count = c, cnt
 			}
 		}
-		if ap.ix != nil {
+		if ap.sel != nil {
 			// An index was chosen; any earlier candidate's failure is moot.
 			ap.fallback = ""
-			ap.est = selectivity(best, len(ap.preds)-1)
+			ap.est = selectivity(ap.count, len(ap.preds)-1)
 		} else {
 			if ap.fallback != "" {
 				sc.pl.noteFallback(rel.Name(), failCol, ap.fallback)
@@ -765,15 +711,6 @@ func (sc *scope) plan(where Expr) (*scanPlan, error) {
 	}
 	sp.est = selectivity(cur, len(sp.residual))
 	return sp, nil
-}
-
-// mustCount re-derives the index range count for display; falls back to
-// the relation size if the index went stale since planning.
-func mustCount(ap *accessPath) int {
-	if n, err := ap.ix.Count(ap.sel.selOp, ap.sel.selVal); err == nil {
-		return n
-	}
-	return ap.ix.Len()
 }
 
 // planSchema converts a relation schema to plan columns.

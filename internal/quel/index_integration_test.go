@@ -25,19 +25,25 @@ func bigCatalog(t *testing.T, n int) *storage.Catalog {
 }
 
 // TestIndexedSelection: on a relation above the index threshold the
-// planner answers through the lazily built index, with identical results
-// to a scan, and caches the index across statements.
+// planner answers through the relation's lazily built index, with
+// identical results to a scan, and reuses the index across statements.
 func TestIndexedSelection(t *testing.T) {
 	cat := bigCatalog(t, 500)
-	s := NewSession(NewPlanner(cat, nil, nil))
+	var c Counters
+	s := NewSession(NewPlanner(cat, &c, nil))
 	mustExec(t, s, "range of b is BIG")
 
 	res := mustExec(t, s, "retrieve (b.K) where b.K = 250")
 	if res.Rel.Len() != 1 || !res.Rel.Row(0)[0].Equal(relation.Int(250)) {
 		t.Fatalf("point lookup = %v", res.Rel.Rows())
 	}
-	if s.p.cache.Len() != 1 {
-		t.Fatalf("index cache size = %d, want 1", s.p.cache.Len())
+	rel, err := cat.Get("BIG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := rel.Index(0)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	res = mustExec(t, s, "retrieve (b.K) where b.K >= 490")
@@ -50,8 +56,11 @@ func TestIndexedSelection(t *testing.T) {
 			t.Errorf("row %d = %v", i, row)
 		}
 	}
-	if s.p.cache.Len() != 1 {
-		t.Errorf("index cache size = %d, want 1 (reused)", s.p.cache.Len())
+	if ix, _ := rel.Index(0); ix != built {
+		t.Error("range lookup rebuilt the index; want it reused")
+	}
+	if n := c.IndexScans.Load(); n != 2 {
+		t.Errorf("IndexScans = %d, want 2", n)
 	}
 
 	// A second condition on the same variable filters the index result.

@@ -288,11 +288,10 @@ func (sc *scope) filter(t exec.Tree, conjs []*conjunct, offs []int, est int) (ex
 }
 
 // scan lowers one access path: its scan leaf, wired to the planner's
-// index rebuilds and scan counters, under a Filter for the pushed-down
-// predicates it does not serve. An index path keeps its selection out of
-// the filter (the index serves it exactly) but carries a compiled
-// re-check for fallback mode; a full-scan path filters on every
-// pushed-down predicate.
+// scan counters, under a Filter for the pushed-down predicates it does
+// not serve. An index path keeps its selection out of the filter (the
+// index serves it exactly) but carries a compiled re-check for fallback
+// mode; a full-scan path filters on every pushed-down predicate.
 func (sc *scope) scan(ap *accessPath) (exec.Tree, error) {
 	pl, rel := sc.pl, sc.rels[ap.slot]
 
@@ -308,18 +307,14 @@ func (sc *scope) scan(ap *accessPath) (exec.Tree, error) {
 	alias := sc.vars[ap.slot]
 	var t exec.Tree
 	extra := ap.preds
-	if ap.ix != nil {
+	if ap.sel != nil {
 		sel, err := sc.compileRow(ap.sel.expr, offs)
 		if err != nil {
 			return exec.Tree{}, err
 		}
-		ix, attr, op, val := ap.ix, ap.sel.selAttr, ap.sel.selOp, ap.sel.selVal
+		attr, op, val := ap.sel.selAttr, ap.sel.selOp, ap.sel.selVal
 		col := rel.Schema().Col(attr).Name
 		hooks := exec.IndexScanHooks{
-			Rebuild: func() *relation.Index {
-				fresh, _ := pl.indexFor(rel, attr)
-				return fresh
-			},
 			OnIndexScan: pl.countIndexScan,
 			OnFullScan:  pl.countFullScan,
 			OnFallback:  func(reason string) { pl.noteFallback(rel.Name(), col, reason) },
@@ -331,11 +326,11 @@ func (sc *scope) scan(ap *accessPath) (exec.Tree, error) {
 				Column:   col,
 				Op:       op,
 				Value:    val.GoString(),
-				Est:      mustCount(ap),
+				Est:      ap.count,
 				Cols:     cols,
 				Implied:  ap.sel.implied,
 			},
-			New: func() exec.Operator { return exec.NewIndexScan(rel, ix, op, val, sel, hooks) },
+			New: func() exec.Operator { return exec.NewIndexScan(rel, attr, op, val, sel, hooks) },
 		}
 		extra = nil
 		for _, c := range ap.preds {

@@ -2,19 +2,18 @@ package quel
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"intensional/internal/relation"
+	"intensional/internal/storage"
 )
 
-// TestIndexCacheRejectsReplacedRelation pins the staleness hole fixed in
-// the shared IndexCache: entries used to be validated with Index.Fresh
-// alone but keyed by relation name only, so replacing a relation under
-// the same name left a cached index over the *old* object that still
-// looked fresh (the old object's version never moves again). A planner
-// picking it up silently answered queries from the replaced data. The
-// cache must validate relation identity as well as freshness.
+// TestIndexCacheRejectsReplacedRelation: replacing a relation under
+// the same name must never serve the old object's rows. A planner that
+// indexed the old BIG answers the next statement from the new one; each
+// relation owns its indexes, so the new object starts with none.
 func TestIndexCacheRejectsReplacedRelation(t *testing.T) {
 	cat := bigCatalog(t, 100) // K = 0..99, above the indexing threshold
 	pl := NewPlanner(cat, nil, nil)
@@ -27,8 +26,13 @@ func TestIndexCacheRejectsReplacedRelation(t *testing.T) {
 	if res.Rel.Len() != 1 {
 		t.Fatalf("seed query: %d rows, want 1", res.Rel.Len())
 	}
-	if pl.cache.Len() != 1 {
-		t.Fatalf("index cache size = %d, want 1", pl.cache.Len())
+	old, err := cat.Get("BIG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldIx, err := old.Index(0)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Replace BIG wholesale: same name, different object, K = 100..199.
@@ -49,45 +53,48 @@ func TestIndexCacheRejectsReplacedRelation(t *testing.T) {
 		t.Fatalf("query against replaced relation = %v, want one row K=150 "+
 			"(a stale index over the old relation was served)", res.Rel.Rows())
 	}
+	if ix, err := repl.Index(0); err != nil || ix == oldIx || ix.Len() != 100 {
+		t.Fatalf("replacement's index: err %v, shared with the old relation %v", err, ix == oldIx)
+	}
 }
 
 // TestStreamingFallbackCountsAndLogs pins the index-fallback
 // observability through the streaming pipeline: when a planned index
-// scan finds its index stale at Open and the rebuild declines (the
-// relation shrank below the indexing threshold), the scan must degrade
-// to a full scan, still return correct rows, and report the degradation
+// scan finds at Open that the relation can no longer index its column (a
+// NaN was appended in place since planning), the scan must degrade to a
+// full scan, still return correct rows, and report the degradation
 // through Counters.IndexFallbacks and the session log.
 func TestStreamingFallbackCountsAndLogs(t *testing.T) {
-	cat := bigCatalog(t, 100)
+	cat := storage.NewCatalog()
+	rel, err := cat.Create("F", relation.MustSchema(relation.Column{Name: "X", Type: relation.TFloat}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		rel.MustInsert(relation.Float(float64(i)))
+	}
 	var ctr Counters
 	var logs []string
 	s := NewSession(NewPlanner(cat, &ctr, func(format string, args ...any) {
 		logs = append(logs, fmt.Sprintf(format, args...))
 	}))
-	mustExec(t, s, "range of b is BIG")
+	mustExec(t, s, "range of f is F")
 
-	rp := planFor(t, s, "retrieve (b.K) where b.K = 50")
+	rp := planFor(t, s, "retrieve (f.X) where f.X = 50")
 	if findIndexScan(rp.Describe()) == nil {
 		t.Fatalf("plan did not choose an index scan:\n%s", rp.Describe())
 	}
 
-	// Invalidate the planned index and shrink the relation below the
-	// indexing threshold, so the rebuild at Open declines.
-	rel, err := cat.Get("BIG")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel.Delete(func(tu relation.Tuple) bool { return tu[0].Int64() >= 60 })
-	if rel.Len() >= indexMinRows {
-		t.Fatalf("test setup: %d rows does not undercut indexMinRows=%d", rel.Len(), indexMinRows)
-	}
-
+	// A NaN compares equal to every number, so the column loses its
+	// total order and the relation refuses to index it.
+	rel.MustInsert(relation.Float(math.NaN()))
 	res, err := rp.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rel.Len() != 1 || !res.Rel.Row(0)[0].Equal(relation.Int(50)) {
-		t.Fatalf("fallback result = %v, want one row K=50", res.Rel.Rows())
+	// The re-checked selection keeps what Value.Equal keeps: 50 and NaN.
+	if res.Rel.Len() != 2 || !res.Rel.Row(0)[0].Equal(relation.Float(50)) || !res.Rel.Row(1)[0].IsNaN() {
+		t.Fatalf("fallback result = %v, want X=50 and X=NaN", res.Rel.Rows())
 	}
 	if got := ctr.IndexFallbacks.Load(); got != 1 {
 		t.Errorf("IndexFallbacks = %d, want 1", got)

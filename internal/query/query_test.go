@@ -292,12 +292,28 @@ func bigCatalog() *storage.Catalog {
 	return cat
 }
 
-// TestProcessorSharesIndexes: statements prepared on one processor plan
-// through its one planner, so an index one statement builds serves the
-// next — one cache entry, two index scans.
+// bigIndex returns BIG's index on K, the one every statement on BIG.K
+// is served by.
+func bigIndex(t *testing.T, cat *storage.Catalog) *relation.Index {
+	t.Helper()
+	rel, err := cat.Get("BIG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := rel.Index(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// TestProcessorSharesIndexes: an index one statement builds serves the
+// next — one index on BIG.K, two index scans.
 func TestProcessorSharesIndexes(t *testing.T) {
 	var c quel.Counters
-	p := New(bigCatalog(), &c, nil)
+	cat := bigCatalog()
+	p := New(cat, &c, nil)
+	var built *relation.Index
 	for _, sql := range []string{
 		"SELECT K FROM BIG WHERE K = 42",
 		"SELECT G FROM BIG WHERE K = 7",
@@ -309,9 +325,12 @@ func TestProcessorSharesIndexes(t *testing.T) {
 		if rel.Len() != 1 {
 			t.Errorf("%s: %d rows, want 1", sql, rel.Len())
 		}
-	}
-	if n := p.pl.IndexCache().Len(); n != 1 {
-		t.Errorf("index cache holds %d entries, want 1", n)
+		ix := bigIndex(t, cat)
+		if built == nil {
+			built = ix
+		} else if ix != built {
+			t.Errorf("%s rebuilt the index; want one shared index", sql)
+		}
 	}
 	if n := c.IndexScans.Load(); n != 2 {
 		t.Errorf("IndexScans = %d, want 2", n)
@@ -323,8 +342,14 @@ func TestProcessorSharesIndexes(t *testing.T) {
 // share one index.
 func TestProcessorConcurrentPrepare(t *testing.T) {
 	var c quel.Counters
-	p := New(bigCatalog(), &c, nil)
+	cat := bigCatalog()
+	p := New(cat, &c, nil)
+	big, err := cat.Get("BIG")
+	if err != nil {
+		t.Fatal(err)
+	}
 	const workers = 8
+	shared := make([]*relation.Index, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -339,11 +364,14 @@ func TestProcessorConcurrentPrepare(t *testing.T) {
 			if rel.Len() != 1 || rel.Row(0)[0].Int64() != int64(w%7) {
 				t.Errorf("%s: rows %v", sql, rel.Rows())
 			}
+			shared[w], _ = big.Index(0)
 		}(w)
 	}
 	wg.Wait()
-	if n := p.pl.IndexCache().Len(); n != 1 {
-		t.Errorf("index cache holds %d entries, want 1", n)
+	for w, ix := range shared {
+		if ix == nil || ix != shared[0] {
+			t.Errorf("worker %d saw a different index on BIG.K; want one shared index", w)
+		}
 	}
 	if n := c.IndexScans.Load(); n != workers {
 		t.Errorf("IndexScans = %d, want %d", n, workers)

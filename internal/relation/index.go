@@ -3,33 +3,61 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Index is a sorted secondary index over one column: row positions
 // ordered by the column's value, supporting binary-search lookups for
 // the comparison operators. An index is a snapshot — it is valid only
 // for the relation version it was built against (see Relation.Version).
+// Once built it is never written again, so any number of goroutines may
+// read it.
 type Index struct {
 	rel     *Relation
 	col     int
-	order   []int // row indices sorted ascending by column value
+	order   []int // row indices sorted ascending by column value, ties in row order
 	version uint64
 }
 
-// BuildIndex sorts the relation's rows by the named column. Null values
-// are excluded from the index (no comparison matches them).
+// indexSlot is one column's entry in a relation's index set: the last
+// index built over it, or the reason the column could not be indexed,
+// as of one relation version.
+type indexSlot struct {
+	mu      sync.Mutex
+	version uint64 // guarded by mu — the relation version ix or err describes
+	ix      *Index // guarded by mu — nil, with err nil, until first built
+	err     error  // guarded by mu
+}
+
+// Index returns the relation's sorted index on column col, building it
+// on first use and again after any mutation. Every reader of the
+// relation — the planner, index scans, the data dictionary — shares the
+// one index, and concurrent first calls build it once. Null values are
+// not indexed (no comparison matches them).
 //
 // The column's non-null values must be kind-homogeneous (all mutually
-// comparable: one of {string} or {int, float}). A mixed-kind column has
-// no total order — Value.Less falls back to an arbitrary cross-kind
-// order, so a binary search over it could return a wrong range — and is
-// rejected here, at build time, rather than producing incorrect rows at
-// lookup time.
-func (r *Relation) BuildIndex(column string) (*Index, error) {
-	ci, ok := r.schema.Index(column)
-	if !ok {
-		return nil, fmt.Errorf("relation %s: no column %q", r.name, column)
+// comparable: one of {string} or {int, float}) and free of NaN. A
+// mixed-kind column has no total order — Value.Less falls back to an
+// arbitrary cross-kind order — and a NaN compares equal to every number,
+// so in either case a binary search could return a wrong range. Such a
+// column is refused with an error, remembered until the relation
+// changes, rather than producing incorrect rows at lookup time.
+func (r *Relation) Index(col int) (*Index, error) {
+	if col < 0 || col >= r.schema.Len() {
+		return nil, fmt.Errorf("relation %s: column %d out of range", r.name, col)
 	}
+	r.ixOnce.Do(func() { r.ixs = make([]indexSlot, r.schema.Len()) })
+	s := &r.ixs[col]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if (s.ix == nil && s.err == nil) || s.version != r.version {
+		s.ix, s.err = r.buildIndex(col)
+		s.version = r.version
+	}
+	return s.ix, s.err
+}
+
+func (r *Relation) buildIndex(ci int) (*Index, error) {
 	ix := &Index{rel: r, col: ci, version: r.version}
 	first := Null()
 	for i, row := range r.rows {
@@ -37,11 +65,15 @@ func (r *Relation) BuildIndex(column string) (*Index, error) {
 		if v.IsNull() {
 			continue
 		}
+		if v.IsNaN() {
+			return nil, fmt.Errorf("relation %s: cannot index column %q: it holds NaN",
+				r.name, r.schema.Col(ci).Name)
+		}
 		if first.IsNull() {
 			first = v
 		} else if !v.Comparable(first) {
 			return nil, fmt.Errorf("relation %s: cannot index column %q: mixed %s and %s values",
-				r.name, column, first.Kind(), v.Kind())
+				r.name, r.schema.Col(ci).Name, first.Kind(), v.Kind())
 		}
 		ix.order = append(ix.order, i)
 	}
@@ -54,17 +86,12 @@ func (r *Relation) BuildIndex(column string) (*Index, error) {
 // Fresh reports whether the index still matches the relation's contents.
 func (ix *Index) Fresh() bool { return ix.version == ix.rel.version }
 
-// For reports whether the index was built over exactly this relation
-// object. Fresh alone cannot tell a replaced relation apart from the
-// one the index was built on — the old object's version never moved —
-// so cache validation must check identity as well as freshness.
-func (ix *Index) For(r *Relation) bool { return ix.rel == r }
-
 // Len returns the number of indexed rows.
 func (ix *Index) Len() int { return len(ix.order) }
 
-// value returns the indexed column value at sorted position p.
-func (ix *Index) value(p int) Value { return ix.rel.rows[ix.order[p]][ix.col] }
+// Value returns the indexed column value at sorted position p, 0 <= p <
+// Len(): ascending in p, and among equal values in row order.
+func (ix *Index) Value(p int) Value { return ix.rel.rows[ix.order[p]][ix.col] }
 
 // bounds binary-searches the sorted order for the probe value: lower is
 // the first position with value >= v, upper the first with value > v.
@@ -76,12 +103,12 @@ func (ix *Index) bounds(v Value) (lower, upper int, err error) {
 		return 0, 0, fmt.Errorf("relation %s: index is stale", ix.rel.name)
 	}
 	n := len(ix.order)
-	if n > 0 && !ix.value(0).Comparable(v) {
+	if n > 0 && !ix.Value(0).Comparable(v) {
 		return 0, 0, fmt.Errorf("relation %s: cannot compare %s column with %s",
 			ix.rel.name, ix.rel.schema.Col(ix.col).Type, v.Kind())
 	}
-	lower = sort.Search(n, func(p int) bool { return ix.value(p).MustCompare(v) >= 0 })
-	upper = sort.Search(n, func(p int) bool { return ix.value(p).MustCompare(v) > 0 })
+	lower = sort.Search(n, func(p int) bool { return ix.Value(p).MustCompare(v) >= 0 })
+	upper = sort.Search(n, func(p int) bool { return ix.Value(p).MustCompare(v) > 0 })
 	return lower, upper, nil
 }
 

@@ -1,7 +1,10 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -21,7 +24,7 @@ func indexedRelation(t *testing.T) *Relation {
 
 func TestIndexLookupOperators(t *testing.T) {
 	r := indexedRelation(t)
-	ix, err := r.BuildIndex("K")
+	ix, err := r.Index(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestIndexLookupOperators(t *testing.T) {
 
 func TestIndexStaleness(t *testing.T) {
 	r := indexedRelation(t)
-	ix, err := r.BuildIndex("K")
+	ix, err := r.Index(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +107,10 @@ func TestIndexStaleness(t *testing.T) {
 
 func TestBuildIndexErrors(t *testing.T) {
 	r := indexedRelation(t)
-	if _, err := r.BuildIndex("nope"); err == nil {
-		t.Error("unknown column should error")
+	for _, col := range []int{-1, 2} {
+		if _, err := r.Index(col); err == nil {
+			t.Errorf("Index(%d) on a two-column relation should error", col)
+		}
 	}
 }
 
@@ -119,7 +124,7 @@ func TestIndexAgreesWithScanProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			r.MustInsert(Int(int64(rr.Intn(20))))
 		}
-		ix, err := r.BuildIndex("K")
+		ix, err := r.Index(0)
 		if err != nil {
 			return false
 		}
@@ -171,8 +176,8 @@ func TestBuildIndexRejectsMixedKinds(t *testing.T) {
 	// Smuggle numeric values past Insert's conformance check, as a bug
 	// elsewhere (or a future dynamically typed column) could.
 	r.rows = append(r.rows, Tuple{Int(5)}, Tuple{Int(1)})
-	if _, err := r.BuildIndex("K"); err == nil {
-		t.Fatal("BuildIndex on a mixed string/int column must error")
+	if _, err := r.Index(0); err == nil {
+		t.Fatal("Index on a mixed string/int column must error")
 	}
 
 	// Int/float mixes are mutually comparable and stay indexable.
@@ -180,9 +185,9 @@ func TestBuildIndexRejectsMixedKinds(t *testing.T) {
 	f.MustInsert(Float(2.5))
 	f.MustInsert(Int(7))
 	f.MustInsert(Int(1))
-	ix, err := f.BuildIndex("K")
+	ix, err := f.Index(0)
 	if err != nil {
-		t.Fatalf("BuildIndex on int/float column: %v", err)
+		t.Fatalf("Index on int/float column: %v", err)
 	}
 	rows, err := ix.Lookup(">", Int(2))
 	if err != nil {
@@ -197,8 +202,90 @@ func TestBuildIndexRejectsMixedKinds(t *testing.T) {
 	n := New("NULLS", MustSchema(Column{Name: "K", Type: TInt}))
 	n.MustInsert(Null())
 	n.MustInsert(Int(3))
-	if _, err := n.BuildIndex("K"); err != nil {
-		t.Errorf("BuildIndex with nulls: %v", err)
+	if _, err := n.Index(0); err != nil {
+		t.Errorf("Index with nulls: %v", err)
+	}
+}
+
+// TestIndexRejectsNaN: a NaN compares equal to every number, so a
+// float column holding one has no total order and a binary search over
+// it could return a wrong range. Build must refuse it.
+func TestIndexRejectsNaN(t *testing.T) {
+	r := New("F", MustSchema(Column{Name: "K", Type: TFloat}))
+	for i := 0; i < 20; i++ {
+		v := Float(float64(i % 5))
+		if i%7 == 0 {
+			v = Float(math.NaN())
+		}
+		r.MustInsert(v)
+	}
+	if _, err := r.Index(0); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("Index on a column holding NaN: err = %v, want a NaN refusal", err)
+	}
+}
+
+// TestIndexSharedAndVersioned: Index hands every caller the one index
+// of a column until the relation changes, then builds a new one over the
+// current rows.
+func TestIndexSharedAndVersioned(t *testing.T) {
+	r := indexedRelation(t)
+	ix, err := r.Index(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := r.Index(0); again != ix {
+		t.Error("second Index call built a new index")
+	}
+	if _, err := r.Index(1); err != nil {
+		t.Errorf("Index on the string column: %v", err)
+	}
+	if _, err := r.Index(2); err == nil {
+		t.Error("Index past the last column should error")
+	}
+	r.MustInsert(Int(4), String("y"))
+	fresh, err := r.Index(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == ix || !fresh.Fresh() || fresh.Len() != ix.Len()+1 {
+		t.Errorf("after insert: new index %v, fresh %v, %d rows (was %d)",
+			fresh != ix, fresh.Fresh(), fresh.Len(), ix.Len())
+	}
+	if c := r.Clone(); c.ixs != nil {
+		t.Error("Clone copied the original's index set")
+	}
+}
+
+// TestIndexConcurrentFirstCalls: concurrent first calls for one column
+// build the index once and all get it (run under -race).
+func TestIndexConcurrentFirstCalls(t *testing.T) {
+	r := New("R", MustSchema(Column{Name: "K", Type: TInt}, Column{Name: "G", Type: TInt}))
+	for i := 0; i < 2000; i++ {
+		r.MustInsert(Int(int64(i*7919%2000)), Int(int64(i%13)))
+	}
+	const workers = 8
+	got := make([]*Index, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ix, err := r.Index(w % 2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if n, err := ix.Count(">=", Int(0)); err != nil || n != 2000 {
+				t.Errorf("worker %d: Count = %d, %v", w, n, err)
+			}
+			got[w] = ix
+		}(w)
+	}
+	wg.Wait()
+	for w := 2; w < workers; w++ {
+		if got[w] != got[w%2] {
+			t.Errorf("worker %d got a different index on column %d", w, w%2)
+		}
 	}
 }
 
@@ -206,7 +293,7 @@ func TestBuildIndexRejectsMixedKinds(t *testing.T) {
 // against the materialised result for every operator.
 func TestIndexCountMatchesLookup(t *testing.T) {
 	r := indexedRelation(t)
-	ix, err := r.BuildIndex("K")
+	ix, err := r.Index(0)
 	if err != nil {
 		t.Fatal(err)
 	}

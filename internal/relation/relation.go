@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Tuple is one row of a relation. Its length and value kinds must match
@@ -33,14 +34,18 @@ func (t Tuple) String() string {
 }
 
 // Relation is a named multiset of tuples over a schema. Any number of
-// goroutines may read a Relation concurrently; mutation requires
-// exclusive access (the induction pipeline treats catalog relations and
+// goroutines may read a Relation concurrently — its column indexes
+// (Index) are built under their own locks; mutation requires exclusive
+// access (the induction pipeline treats catalog relations and
 // materialised joins as immutable while workers run).
 type Relation struct {
 	name    string
 	schema  *Schema
 	rows    []Tuple
 	version uint64 // bumped on every mutation; indexes snapshot it
+
+	ixOnce sync.Once
+	ixs    []indexSlot // one per column, allocated by ixOnce
 }
 
 // New creates an empty relation with the given name and schema.

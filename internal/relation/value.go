@@ -243,7 +243,11 @@ func (v Value) AppendKey(dst []byte) []byte {
 		}
 		return strconv.AppendInt(append(dst, 'i'), v.i, 10)
 	default:
-		return strconv.AppendFloat(append(dst, 'n'), v.f, 'g', -1, 64)
+		f := v.f
+		if f == 0 {
+			f = 0 // -0 equals 0, so it writes 0's key
+		}
+		return strconv.AppendFloat(append(dst, 'n'), f, 'g', -1, 64)
 	}
 }
 

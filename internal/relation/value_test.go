@@ -171,8 +171,8 @@ func checkAppendKey(t *testing.T, v Value) {
 // TestValueKeyBytes pins the key bytes themselves, so a change to
 // AppendKey that Key would follow still shows: hash-join probes and
 // stored keys built by either must agree with the keys of earlier
-// releases. Signed zeros keep distinct keys although they compare equal,
-// and every NaN shares one.
+// releases. Signed zeros share 0's key, as they compare equal, and
+// every NaN shares one.
 func TestValueKeyBytes(t *testing.T) {
 	big := int64(1) << 53
 	cases := []struct {
@@ -191,7 +191,7 @@ func TestValueKeyBytes(t *testing.T) {
 		{Int(math.MaxInt64), "i9223372036854775807"},
 		{Int(math.MinInt64), "n-9.223372036854776e+18"},
 		{Float(0), "n0"},
-		{Float(math.Copysign(0, -1)), "n-0"},
+		{Float(math.Copysign(0, -1)), "n0"},
 		{Float(math.NaN()), "nNaN"},
 		{Float(math.Inf(1)), "n+Inf"},
 	}
