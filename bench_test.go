@@ -7,6 +7,7 @@
 package intensional_test
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -648,6 +649,45 @@ func BenchmarkSaveOpen(b *testing.B) {
 		}
 		if _, err := intensional.Open(dir); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInduceMaintainFleet times Maintain's locked re-induction on
+// the benchmark's fleet (60 000 ships, Nc = 2) with one stale scheme,
+// SHIP.Id → SHIP.Class. Each iteration first inserts, untimed, a ship
+// whose Id falls inside one of that scheme's rules but whose Class
+// differs, then times the pass that re-induces the scheme. Writers wait
+// for this pass.
+func BenchmarkInduceMaintainFleet(b *testing.B) {
+	cat := intensional.FleetCatalog(20, 250, 1)
+	d, err := intensional.FleetDictionary(cat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := intensional.New(cat, d)
+	opts := intensional.InduceOptions{Nc: 2}
+	if _, err := sys.Induce(opts); err != nil {
+		b.Fatal(err)
+	}
+	scheme := rules.Scheme{X: rules.Attr("SHIP", "Id"), Y: rules.Attr("SHIP", "Class")}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		idRules := sys.Rules().ByScheme(scheme)
+		target, other := idRules[i%len(idRules)], idRules[(i+1)%len(idRules)]
+		ins := fmt.Sprintf("INSERT INTO SHIP VALUES ('%sz', NULL, '%s')", target.LHS[0].Lo, other.RHS.Lo)
+		if _, err := sys.Apply(ctx, ins); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := sys.Maintain(ctx, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Schemes) != 1 || res.Schemes[0] != scheme.Key() {
+			b.Fatalf("re-induced schemes %v, want [%s]", res.Schemes, scheme.Key())
 		}
 	}
 }

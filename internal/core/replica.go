@@ -93,16 +93,19 @@ func encodeRelWire(r *relation.Relation) relWire {
 	for i, c := range cols {
 		w.Cols[i] = relColWire{Name: c.Name, Type: c.Type.String()}
 	}
-	for _, t := range r.Rows() {
-		row := make([]*string, len(t))
+	if r.Len() > 0 {
+		w.Rows = make([][]*string, r.Len()) // an empty relation keeps "rows": null
+	}
+	for ri, t := range r.Rows() {
+		row, strs := make([]*string, len(t)), make([]string, len(t))
 		for i, v := range t {
 			if v.IsNull() {
 				continue
 			}
-			s := v.String()
-			row[i] = &s
+			strs[i] = v.String()
+			row[i] = &strs[i]
 		}
-		w.Rows = append(w.Rows, row)
+		w.Rows[ri] = row
 	}
 	return w
 }
@@ -424,11 +427,17 @@ func (s *System) InstallBootstrap(a *BootstrapArchive) error {
 			return err
 		}
 	}
+	maint, err := takeWithheld(cat)
+	if err != nil {
+		return err
+	}
 	d, err := newDictionary(cat, decls, nil)
 	if err != nil {
 		return err
 	}
-	s.install(newSnapshot(a.Version, cat, d, s.counters))
+	sn := newSnapshot(a.Version, cat, d, s.counters)
+	sn.maint = maint
+	s.install(sn)
 	s.walSeq = a.Seq
 	s.replMu.Lock()
 	s.replBuf = nil

@@ -186,9 +186,17 @@ func newDictionary(cat *storage.Catalog, decls *dict.Decls, set *rules.Set) (*di
 // and dictionary become version 1's snapshot; mutate them only before
 // the system starts serving concurrent callers.
 func New(cat *storage.Catalog, d *dict.Dictionary) *System {
+	return newSystem(cat, d, maintain.NewState())
+}
+
+// newSystem is New with the maintenance state of version 1: all-valid,
+// or what a loaded database restored (takeWithheld).
+func newSystem(cat *storage.Catalog, d *dict.Dictionary, maint *maintain.State) *System {
 	counters := new(quel.Counters)
+	sn := newSnapshot(1, cat, d, counters)
+	sn.maint = maint
 	return &System{
-		snap:         newSnapshot(1, cat, d, counters),
+		snap:         sn,
 		fs:           fault.OS,
 		clock:        fault.Wall,
 		degradeAfter: defaultDegradeAfter,
@@ -358,8 +366,9 @@ func readWalSeq(dir string) (seq, version uint64, err error) {
 // Section 5.2.2. The whole directory is written atomically (built in a
 // temporary sibling and swapped into place), so a crash mid-save never
 // corrupts a previously saved database. Stale rules are not persisted:
-// the serving rule set is what Save stores, and a load after a crash
-// re-derives staleness deterministically from the replayed WAL.
+// the serving rule set is what Save stores, beside the keys of the
+// schemes awaiting re-induction, and a load after a crash re-derives
+// later staleness deterministically from the replayed WAL.
 //
 // On a durable system, saving over its own directory is a checkpoint:
 // the WAL is truncated in the same critical section, because the saved
@@ -447,18 +456,25 @@ func Open(dir string) (*System, error) {
 			return nil, err
 		}
 	}
+	maint, err := takeWithheld(cat)
+	if err != nil {
+		return nil, err
+	}
 	d, err := newDictionary(cat, decls, nil)
 	if err != nil {
 		return nil, err
 	}
-	return New(cat, d), nil
+	return newSystem(cat, d, maint), nil
 }
 
 // persisted is the one decision of which rules leave the process, for
 // Save and BootstrapArchive alike: the snapshot's catalog with its rule
 // relations re-encoded from the serving set sn.d.Rules(), an empty set
 // included, so rules the snapshot withholds never reach disk or the
-// wire. The result is a shallow copy; sn's own catalog is not written.
+// wire. The schemes awaiting re-induction travel beside them, as the
+// maintain.WithheldRelName relation, so the loader (takeWithheld) still
+// re-induces them. The result is a shallow copy; sn's own catalog is not
+// written.
 func persisted(sn *snapshot) (*storage.Catalog, error) {
 	cat := sn.cat.ShallowClone()
 	d := dict.New(cat)
@@ -466,5 +482,25 @@ func persisted(sn *snapshot) (*storage.Catalog, error) {
 	if _, err := d.StoreRules(); err != nil {
 		return nil, err
 	}
+	if r := sn.maint.WithheldRelation(sn.full); r != nil {
+		cat.Put(r)
+	}
 	return cat, nil
+}
+
+// takeWithheld removes the withheld-schemes relation persisted wrote
+// from a loaded catalog, and returns the maintenance state it encodes:
+// all-valid when there is none.
+func takeWithheld(cat *storage.Catalog) (*maintain.State, error) {
+	if !cat.Has(maintain.WithheldRelName) {
+		return maintain.NewState(), nil
+	}
+	r, err := cat.Get(maintain.WithheldRelName)
+	if err != nil {
+		return nil, err
+	}
+	if err := cat.Drop(maintain.WithheldRelName); err != nil {
+		return nil, err
+	}
+	return maintain.Restore(r)
 }

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -164,5 +166,29 @@ func TestSaveWithoutRules(t *testing.T) {
 	}
 	if s2.Rules().Len() != 0 {
 		t.Errorf("rules = %d, want 0", s2.Rules().Len())
+	}
+}
+
+// TestInduceCancelledContext checks that Induce and Maintain on an
+// already-cancelled context return its error and install nothing.
+func TestInduceCancelledContext(t *testing.T) {
+	s := shipSystem(t)
+	if _, err := s.Induce(induct.Options{Nc: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply(context.Background(), contradictor); err != nil {
+		t.Fatal(err)
+	}
+	v := s.Version()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.InduceContext(ctx, induct.Options{Nc: 3}); !errors.Is(err, context.Canceled) {
+		t.Errorf("InduceContext on a cancelled context returned %v", err)
+	}
+	if _, err := s.Maintain(ctx, induct.Options{Nc: 3}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Maintain on a cancelled context returned %v", err)
+	}
+	if s.Version() != v {
+		t.Errorf("a cancelled induction installed version %d over %d", s.Version(), v)
 	}
 }

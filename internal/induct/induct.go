@@ -1,9 +1,13 @@
 // Package induct implements the paper's Inductive Learning Subsystem
 // (Section 5.2): model-based rule induction over the database, driven by
 // the schema knowledge in the intelligent data dictionary. For every
-// candidate attribute pair X→Y it executes the four-step Rule Induction
-// Algorithm of Section 5.2.1 — using the same QUEL statements the paper
-// gives — and prunes the result with the Nc support threshold.
+// candidate attribute pair X→Y it runs the four-step Rule Induction
+// Algorithm of Section 5.2.1 and prunes the result with the Nc support
+// threshold. The algorithm is a function of the (X, Y) pairs in X
+// order, so it runs as one ordered pass over the source's X column
+// index. The QUEL statements the paper gives are kept executable
+// (InducePairQUEL): they are the oracle the pass is tested against, and
+// they induce a column the index refuses.
 package induct
 
 import (
@@ -124,17 +128,140 @@ func (in *Inducer) InducePair(p Pair) ([]*rules.Rule, error) {
 	return in.InducePairContext(context.Background(), p)
 }
 
-// InducePairContext is InducePair with a deadline: the context is
-// threaded into the QUEL statements of the induction algorithm, whose
-// retrieves honour cancellation at batch boundaries.
+// InducePairContext is InducePair with a deadline. The algorithm is a
+// function of the source's (X, Y) pairs in X order, so it runs as one
+// ordered pass over the source's X column index (inducePairOrdered),
+// which checks ctx at the start and every ctxCheckGroups groups of
+// equal X. A column the index refuses (NaN or mixed kinds), or a Y
+// value with no order against its group's, has no pass to run; the
+// paper's QUEL statements (InducePairQUEL) induce such a pair.
 func (in *Inducer) InducePairContext(ctx context.Context, p Pair) ([]*rules.Rule, error) {
+	xi, yi, err := p.columns()
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if ix, err := p.Source.Index(xi); err == nil {
+		if out, ok, err := in.inducePairOrdered(ctx, p, ix, yi); ok || err != nil {
+			return out, err
+		}
+	}
+	return in.InducePairQUEL(ctx, p)
+}
+
+// columns resolves the pair's X and Y column positions in its source.
+func (p Pair) columns() (xi, yi int, err error) {
 	xi, ok := p.Source.Schema().Index(p.XCol)
 	if !ok {
-		return nil, fmt.Errorf("induct: source %s has no column %q", p.Source.Name(), p.XCol)
+		return 0, 0, fmt.Errorf("induct: source %s has no column %q", p.Source.Name(), p.XCol)
 	}
-	yi, ok := p.Source.Schema().Index(p.YCol)
+	yi, ok = p.Source.Schema().Index(p.YCol)
 	if !ok {
-		return nil, fmt.Errorf("induct: source %s has no column %q", p.Source.Name(), p.YCol)
+		return 0, 0, fmt.Errorf("induct: source %s has no column %q", p.Source.Name(), p.YCol)
+	}
+	return xi, yi, nil
+}
+
+// ctxCheckGroups is how many X groups the ordered pass walks between
+// two checks of its context.
+const ctxCheckGroups = 4096
+
+// inducePairOrdered is Section 5.2.1 as one walk over ix, the source's
+// sorted index on X (ties in row order), one group of equal X at a time:
+//
+//   - Step 1's (X, Y) pairs are the group's rows whose Y is not null. A
+//     group with none never reaches the algorithm: it neither extends
+//     nor breaks a run.
+//   - Step 2: a group whose Ys differ is inconsistent, and breaks the
+//     current run.
+//   - Step 3: a consistent group whose Y equals the current run's
+//     extends it; any other starts a new run. A run's support is its
+//     groups' row count.
+//   - Step 4 prunes runs below the threshold, taken over every row with
+//     both X and Y.
+//
+// A group's X and Y are those of its first row with a Y, as the QUEL
+// statements keep the first occurrence. ok is false, with no rules, when
+// a Y is NaN or incomparable with its group's first: Y equality is then
+// not an equivalence, and only the statements define the answer.
+func (in *Inducer) inducePairOrdered(ctx context.Context, p Pair, ix *relation.Index, yi int) (out []*rules.Rule, ok bool, err error) {
+	type run struct {
+		y       relation.Value
+		lo, hi  relation.Value
+		support int
+	}
+	var runs []run
+	open := false // the last run may still be extended
+	total := 0    // rows with both X and Y
+	n := ix.Len()
+	for pos, groups := 0, 0; pos < n; groups++ {
+		if groups%ctxCheckGroups == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, false, err
+			}
+		}
+		first := ix.Value(pos)
+		var x, y relation.Value
+		count, consistent := 0, true
+		for ; pos < n; pos++ {
+			xv := ix.Value(pos)
+			if !xv.Equal(first) {
+				break
+			}
+			yv := p.Source.Row(ix.Row(pos))[yi]
+			switch {
+			case yv.IsNull():
+				continue
+			case yv.IsNaN():
+				return nil, false, nil
+			case count == 0:
+				x, y = xv, yv
+			case !yv.Comparable(y):
+				return nil, false, nil
+			case !yv.Equal(y):
+				consistent = false
+			}
+			count++
+		}
+		total += count
+		switch {
+		case count == 0:
+		case !consistent:
+			open = false
+		case open && runs[len(runs)-1].y.Equal(y):
+			runs[len(runs)-1].hi = x
+			runs[len(runs)-1].support += count
+		default:
+			runs = append(runs, run{y: y, lo: x, hi: x, support: count})
+			open = true
+		}
+	}
+	nc := in.opts.effectiveNc(total)
+	for _, r := range runs {
+		if r.support < nc {
+			continue
+		}
+		out = append(out, &rules.Rule{
+			LHS:     []rules.Clause{rules.RangeClause(p.X, r.lo, r.hi)},
+			RHS:     rules.PointClause(p.Y, r.y),
+			Support: r.support,
+		})
+	}
+	return out, true, nil
+}
+
+// InducePairQUEL runs the four-step Rule Induction Algorithm for one
+// attribute pair as the paper states it: the QUEL statements of Section
+// 5.2.1 over a private scratch catalog holding the pair's (X, Y)
+// projection, whose retrieves honour ctx at batch boundaries. It is the
+// reference the ordered pass is tested against, and induces the pairs
+// whose X column the index refuses.
+func (in *Inducer) InducePairQUEL(ctx context.Context, p Pair) ([]*rules.Rule, error) {
+	xi, yi, err := p.columns()
+	if err != nil {
+		return nil, err
 	}
 
 	// Materialise the (X, Y) projection under canonical column names so
@@ -538,16 +665,16 @@ func (in *Inducer) buildJoin(ctx context.Context, r *dict.Relationship) (*materi
 //
 // Candidate pairs are induced concurrently on Options.Workers goroutines
 // (levelwise relational rule mining is embarrassingly parallel across
-// rule schemes: each pair reads shared immutable sources and works in a
-// private scratch catalog). Determinism is preserved by committing
+// rule schemes: each pair reads shared immutable sources and their
+// shared column indexes, and builds only its own runs). Determinism is preserved by committing
 // per-pair results to the set in candidate order after the fan-out, so
 // rule numbering and supports are identical at every worker count.
 func (in *Inducer) InduceAll() (*rules.Set, error) {
 	return in.InduceAllContext(context.Background())
 }
 
-// InduceAllContext is InduceAll with a deadline, threaded through every
-// pair's induction statements.
+// InduceAllContext is InduceAll with a deadline, threaded through the
+// relationship joins and every pair's induction.
 func (in *Inducer) InduceAllContext(ctx context.Context) (*rules.Set, error) {
 	pairs, err := in.CandidatePairs(ctx)
 	if err != nil {
@@ -571,7 +698,7 @@ func (in *Inducer) InduceAllContext(ctx context.Context) (*rules.Set, error) {
 // (unnumbered — the caller commits them to a set). Re-induction uses it
 // to induce only the schemes a mutation touched, with the same
 // parallelism and determinism guarantees as InduceAll. ctx is the
-// deadline shared by every worker's induction statements.
+// deadline shared by every worker's induction.
 func (in *Inducer) InducePairsContext(ctx context.Context, pairs []Pair) ([][]*rules.Rule, error) {
 	results := make([][]*rules.Rule, len(pairs))
 	errs := make([]error, len(pairs))

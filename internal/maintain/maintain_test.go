@@ -244,3 +244,46 @@ func TestValueSemantics(t *testing.T) {
 		t.Error("sanity")
 	}
 }
+
+// TestWithheldRelationRoundTrip checks that the schemes awaiting
+// re-induction survive encoding, that a restored state keeps them
+// through later mutations, and that a state with none encodes nothing.
+func TestWithheldRelationRoundTrip(t *testing.T) {
+	cat, d, rs := fixture(t)
+	if NewState().WithheldRelation(rs) != nil {
+		t.Error("an all-valid state encoded a withheld relation")
+	}
+	st := NewState().ApplyMutation(d, rs, mutate(t, cat, `INSERT INTO CLASS VALUES ('9901', 'Contradictor', 'SSN', 16600)`))
+	want := st.SchemeKeys(rs)
+	if len(want) == 0 {
+		t.Fatal("contradictor staled no scheme")
+	}
+	restored, err := Restore(st.WithheldRelation(rs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The restored state's rule base is the serving set: the stale rules
+	// are gone, yet their schemes are still awaited.
+	serving := st.Serving(rs)
+	if got := restored.SchemeKeys(serving); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("restored schemes %v, want %v", got, want)
+	}
+	if stale, _ := restored.Counts(); stale != 0 {
+		t.Errorf("restored state counts %d stale rules, want 0", stale)
+	}
+	after := restored.ApplyMutation(d, serving, mutate(t, cat, `INSERT INTO SONAR VALUES ('TST-01', 'BQQ')`))
+	for _, k := range want {
+		found := false
+		for _, g := range after.SchemeKeys(serving) {
+			found = found || g == k
+		}
+		if !found {
+			t.Errorf("a later mutation dropped withheld scheme %s", k)
+		}
+	}
+
+	bad := relation.New(WithheldRelName, relation.MustSchema(relation.Column{Name: "Scheme", Type: relation.TInt}))
+	if _, err := Restore(bad); err == nil {
+		t.Error("Restore accepted a non-string scheme column")
+	}
+}

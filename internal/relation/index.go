@@ -93,6 +93,11 @@ func (ix *Index) Len() int { return len(ix.order) }
 // Len(): ascending in p, and among equal values in row order.
 func (ix *Index) Value(p int) Value { return ix.rel.rows[ix.order[p]][ix.col] }
 
+// Row returns the position in the relation of the row at sorted
+// position p, 0 <= p < Len(), so an ordered walk can read the row's
+// other columns.
+func (ix *Index) Row(p int) int { return ix.order[p] }
+
 // bounds binary-searches the sorted order for the probe value: lower is
 // the first position with value >= v, upper the first with value > v.
 // Incomparable probes are rejected up front (the index is

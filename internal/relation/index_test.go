@@ -319,3 +319,27 @@ func TestIndexCountMatchesLookup(t *testing.T) {
 		t.Error("incomparable probe should error")
 	}
 }
+
+// TestIndexRowWalksInValueOrder checks that Row maps each sorted
+// position to the row holding that position's value, ties in row order.
+func TestIndexRowWalksInValueOrder(t *testing.T) {
+	r := indexedRelation(t)
+	ix, err := r.Index(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for p := 0; p < ix.Len(); p++ {
+		if v := r.Row(ix.Row(p))[0]; !v.Equal(ix.Value(p)) {
+			t.Errorf("position %d: row %d holds %v, index says %v", p, ix.Row(p), v, ix.Value(p))
+		}
+		got = append(got, ix.Row(p))
+	}
+	// Keys 5, 1, 9, 3, 5, 7 in rows 0–5: ascending 1, 3, 5, 5, 7, 9.
+	want := []int{1, 3, 0, 4, 5, 2}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sorted rows = %v, want %v", got, want)
+		}
+	}
+}
