@@ -135,7 +135,7 @@ func benchInfer(b *testing.B, sql string) {
 		b.Fatal(err)
 	}
 	d.SetRules(set)
-	prep, err := query.New(d.Catalog(), nil, nil).Prepare(sql, nil)
+	prep, err := query.New(d.Catalog(), nil).Prepare(sql, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -215,7 +215,7 @@ var pointFleet = sync.OnceValues(func() (*pointFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := query.New(cat, nil, nil)
+	q := query.New(cat, nil)
 	fx := &pointFixture{p: infer.New(d)}
 	for i := 0; i < 64; i++ {
 		sql := fmt.Sprintf(`SELECT Id, Name, Class FROM SHIP WHERE Id = '%s'`, ids[i*len(ids)/64].Str())
@@ -268,7 +268,7 @@ func runSQL(q *query.Processor, sql string) error {
 
 // benchQuery measures extensional query processing alone.
 func benchQuery(b *testing.B, sql string) {
-	q := query.New(shipdb.Catalog(), nil, nil)
+	q := query.New(shipdb.Catalog(), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := runSQL(q, sql); err != nil {
@@ -381,7 +381,7 @@ func BenchmarkJoinStrategy(b *testing.B) {
 		ranges := map[string]string{"l": "L", "r": "R"}
 		b.Run(fmt.Sprintf("hash/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rp, err := quel.NewPlanner(cat, nil, nil).PlanRetrieve(st, ranges)
+				rp, err := quel.NewPlanner(cat, nil).PlanRetrieve(st, ranges)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -445,7 +445,7 @@ func BenchmarkInduceComparisons(b *testing.B) {
 // BenchmarkAggregateQuery measures the summarised-answer path (grouped
 // aggregates over the joined ship data).
 func BenchmarkAggregateQuery(b *testing.B) {
-	q := query.New(shipdb.Catalog(), nil, nil)
+	q := query.New(shipdb.Catalog(), nil)
 	const sql = `SELECT CLASS.Type, COUNT(*), MIN(Displacement), MAX(Displacement)
 		FROM SUBMARINE, CLASS WHERE SUBMARINE.Class = CLASS.Class GROUP BY CLASS.Type`
 	b.ResetTimer()
@@ -482,7 +482,7 @@ func BenchmarkQueryStreaming(b *testing.B) {
 	mk("C", "K", "W", 11)
 	const sql = `SELECT A.K, C.W FROM A, B, C
 		WHERE A.K = B.K AND B.K = C.K AND A.G = B.V`
-	prep, err := query.New(cat, nil, nil).Prepare(sql, nil)
+	prep, err := query.New(cat, nil).Prepare(sql, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func BenchmarkIndexedSelection(b *testing.B) {
 		r.MustInsert(relation.Int(int64(i)))
 	}
 	b.Run("indexed", func(b *testing.B) {
-		sess := quel.NewSession(quel.NewPlanner(cat, nil, nil))
+		sess := quel.NewSession(quel.NewPlanner(cat, nil))
 		if _, err := sess.Exec("range of r is BIG"); err != nil {
 			b.Fatal(err)
 		}
@@ -620,7 +620,7 @@ func BenchmarkQueryServedHit(b *testing.B) {
 // against: full parse, binding, analysis, and planning on every
 // iteration, with no plan cache.
 func BenchmarkPreparedCold(b *testing.B) {
-	q := query.New(shipdb.Catalog(), nil, nil)
+	q := query.New(shipdb.Catalog(), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := q.Prepare(example1SQL, nil); err != nil {

@@ -30,7 +30,7 @@ func baselineSetup(t *testing.T, opts baseline.Options) (*dict.Dictionary, *quer
 		t.Fatal(err)
 	}
 	d.SetRules(set)
-	return d, query.New(cat, nil, nil)
+	return d, query.New(cat, nil)
 }
 
 func TestConstraintOnlyRuleSet(t *testing.T) {

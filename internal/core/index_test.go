@@ -20,10 +20,7 @@ func submarineIndex(t *testing.T, s *core.System) *relation.Index {
 	if !ok {
 		t.Fatal("SUBMARINE has no Id column")
 	}
-	ix, err := rel.Index(ci)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := rel.Index(ci)
 	return ix
 }
 

@@ -149,7 +149,7 @@ func decodeRelWire(w relWire) (*relation.Relation, error) {
 			}
 			v, err := relation.ParseValue(*s, cols[i].Type)
 			if err != nil {
-				return nil, fmt.Errorf("core: relation %s row %d: %w", w.Name, ri, err)
+				return nil, fmt.Errorf("core: relation %s row %d column %s: %w", w.Name, ri, cols[i].Name, err)
 			}
 			t[i] = v
 		}

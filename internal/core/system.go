@@ -28,7 +28,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 	"sync"
@@ -152,7 +151,7 @@ func newSnapshot(version uint64, cat *storage.Catalog, d *dict.Dictionary, count
 		version:  version,
 		cat:      cat,
 		d:        d,
-		q:        query.New(cat, counters, log.Printf),
+		q:        query.New(cat, counters),
 		counters: counters,
 		inf:      infer.New(d),
 		full:     d.Rules(),

@@ -1,14 +1,20 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"intensional/internal/core"
 	"intensional/internal/induct"
 	"intensional/internal/maintain"
+	"intensional/internal/server"
+	"intensional/internal/shell"
 )
 
 // withheldOpts are the induction options of the withheld-scheme tests:
@@ -100,6 +106,41 @@ func TestRestartKeepsWithheldSchemes(t *testing.T) {
 	}
 	if g, w := s2.Rules().String(), ref.Rules().String(); g != w {
 		t.Errorf("after restart the system serves\n%s\nwant\n%s", g, w)
+	}
+}
+
+// TestRestartReportsPendingSchemes checks the status surfaces of the
+// reopened system of TestRestartKeepsWithheldSchemes: its withheld rules
+// are gone, so no rule counts as stale, but /healthz, /rules and the
+// shell's .status report the 3 schemes awaiting Maintain.
+func TestRestartReportsPendingSchemes(t *testing.T) {
+	s0, dir := staleShip(t)
+	s := restarted(t, s0, dir)
+	full, maint, _ := s.RuleStatus()
+	want := len(maint.SchemeKeys(full))
+	if want != 3 {
+		t.Fatalf("reopened system awaits %d schemes, want 3", want)
+	}
+
+	h := server.New(s, server.Options{}).Handler()
+	for _, path := range []string{"/healthz", "/rules"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		var body struct {
+			PendingSchemes int `json:"pendingSchemes"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("GET %s: %v\n%s", path, err, rec.Body)
+		}
+		if body.PendingSchemes != want {
+			t.Errorf("GET %s: pendingSchemes = %d, want %d", path, body.PendingSchemes, want)
+		}
+	}
+
+	var out bytes.Buffer
+	shell.New(s, nil, &out).Exec(".status")
+	if !strings.Contains(out.String(), "3 schemes awaiting .maintain") {
+		t.Errorf(".status printed %q, want it to report 3 schemes awaiting .maintain", out.String())
 	}
 }
 

@@ -244,8 +244,7 @@ func (d *Dictionary) Rules() *rules.Set { return d.ruleSet }
 //
 // The observed values are read from the relation's index on the
 // attribute, whose ascending order puts the values inside iv in one
-// contiguous stretch. A column the relation refuses to index (mixed
-// kinds, or a NaN) is scanned instead.
+// contiguous stretch.
 func (d *Dictionary) SnapToObserved(a rules.AttrRef, iv rules.Interval) (snapped rules.Interval, ok bool, err error) {
 	rel, err := d.cat.Get(a.Relation)
 	if err != nil {
@@ -255,14 +254,7 @@ func (d *Dictionary) SnapToObserved(a rules.AttrRef, iv rules.Interval) (snapped
 	if !found {
 		return rules.Interval{}, false, fmt.Errorf("dict: relation %s has no attribute %q", a.Relation, a.Attribute)
 	}
-	ix, err := rel.Index(ci)
-	if err != nil {
-		lo, hi, ok := linearSnap(rel, ci, iv)
-		if !ok {
-			return rules.Interval{}, false, nil
-		}
-		return rules.Range(lo, hi), true, nil
-	}
+	ix := rel.Index(ci)
 	n := ix.Len()
 	lo := sort.Search(n, func(p int) bool { return iv.AboveLo(ix.Value(p)) })
 	end := sort.Search(n, func(p int) bool { return !iv.BelowHi(ix.Value(p)) })
@@ -273,29 +265,6 @@ func (d *Dictionary) SnapToObserved(a rules.AttrRef, iv rules.Interval) (snapped
 	hi := ix.Value(end - 1)
 	first := sort.Search(end, func(p int) bool { return !ix.Value(p).Less(hi) })
 	return rules.Range(ix.Value(lo), ix.Value(first)), true, nil
-}
-
-// linearSnap is SnapToObserved over a column without a total order: the
-// least and greatest values inside iv under Less, walking the rows in
-// order and keeping the earlier of two values neither is less than.
-func linearSnap(rel *relation.Relation, ci int, iv rules.Interval) (lo, hi relation.Value, ok bool) {
-	for _, row := range rel.Rows() {
-		v := row[ci]
-		if v.IsNull() || !iv.Contains(v) {
-			continue
-		}
-		if !ok {
-			lo, hi, ok = v, v, true
-			continue
-		}
-		if v.Less(lo) {
-			lo = v
-		}
-		if hi.Less(v) {
-			hi = v
-		}
-	}
-	return lo, hi, ok
 }
 
 // StoreRules encodes the rule base into rule relations and places them in

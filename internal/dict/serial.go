@@ -108,7 +108,7 @@ func (d *Dictionary) Apply(decls *Decls) error {
 		for _, sd := range hd.Subtypes {
 			v, err := decodeValue(sd.Value)
 			if err != nil {
-				return err
+				return fmt.Errorf("dict: subtype %s of %s.%s: %w", sd.Name, hd.Object, hd.ClassifyingAttr, err)
 			}
 			h.Subtypes = append(h.Subtypes, Subtype{Name: sd.Name, Value: v})
 		}

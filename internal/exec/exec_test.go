@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -82,14 +81,11 @@ func TestFullScanStreamsInRowOrder(t *testing.T) {
 
 func TestIndexScanServesFromIndex(t *testing.T) {
 	rel := numbers(t, "R", 100, func(i int) string { return fmt.Sprint("v", i%7) })
-	var indexScans, fullScans int
-	op := exec.NewIndexScan(rel, 0, ">=", relation.Int(97), nil, exec.IndexScanHooks{
-		OnIndexScan: func() { indexScans++ },
-		OnFullScan:  func() { fullScans++ },
-	})
+	indexScans := 0
+	op := exec.NewIndexScan(rel, 0, ">=", relation.Int(97), func() { indexScans++ })
 	rows := collect(t, op)
-	if indexScans != 1 || fullScans != 0 {
-		t.Fatalf("indexScans=%d fullScans=%d, want 1/0", indexScans, fullScans)
+	if indexScans != 1 {
+		t.Fatalf("indexScans=%d, want 1", indexScans)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
@@ -106,64 +102,40 @@ func TestIndexScanServesFromIndex(t *testing.T) {
 // served by one rebuilt index that later scans share.
 func TestIndexScanRebuildsStaleIndexOnce(t *testing.T) {
 	rel := numbers(t, "R", 50, func(i int) string { return "x" })
-	planned, err := rel.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	planned := rel.Index(0)
 	mustInsert(t, rel, relation.Tuple{relation.Int(7), relation.String("dup")})
 	indexScans := 0
-	hooks := exec.IndexScanHooks{
-		OnIndexScan: func() { indexScans++ },
-		OnFallback:  func(reason string) { t.Fatalf("unexpected fallback: %s", reason) },
-	}
-	rows := collect(t, exec.NewIndexScan(rel, 0, "=", relation.Int(7), nil, hooks))
+	count := func() { indexScans++ }
+	rows := collect(t, exec.NewIndexScan(rel, 0, "=", relation.Int(7), count))
 	if indexScans != 1 {
 		t.Fatalf("indexScans=%d, want 1", indexScans)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2 (original 7 plus the duplicate)", len(rows))
 	}
-	rebuilt, err := rel.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := rel.Index(0)
 	if rebuilt == planned || !rebuilt.Fresh() {
 		t.Fatalf("index after the insert: same as before = %v, fresh = %v; want a new, fresh one",
 			rebuilt == planned, rebuilt.Fresh())
 	}
-	collect(t, exec.NewIndexScan(rel, 0, "=", relation.Int(7), nil, hooks))
-	if again, _ := rel.Index(0); again != rebuilt {
+	collect(t, exec.NewIndexScan(rel, 0, "=", relation.Int(7), count))
+	if again := rel.Index(0); again != rebuilt {
 		t.Error("a second scan rebuilt the index again")
 	}
 }
 
-// TestIndexScanFallsBackLoudly: a column the relation refuses to index
-// (here, one holding a NaN) degrades the scan to a full scan that
-// re-checks the selection, and says why.
-func TestIndexScanFallsBackLoudly(t *testing.T) {
-	rel := relation.New("F", relation.MustSchema(relation.Column{Name: "X", Type: relation.TFloat}))
-	for i := 0; i < 30; i++ {
-		mustInsert(t, rel, relation.Tuple{relation.Float(float64(i))})
-	}
-	mustInsert(t, rel, relation.Tuple{relation.Float(5)}, relation.Tuple{relation.Float(math.NaN())})
-	var reason string
-	fullScans := 0
-	op := exec.NewIndexScan(rel, 0, "=", relation.Float(5),
-		func(tu relation.Tuple) bool { return tu[0].Float64() == 5 },
-		exec.IndexScanHooks{
-			OnIndexScan: func() { t.Fatal("index scan fired for an unindexable column") },
-			OnFullScan:  func() { fullScans++ },
-			OnFallback:  func(r string) { reason = r },
-		})
-	rows := collect(t, op)
-	if fullScans != 1 {
-		t.Fatalf("fullScans=%d, want 1", fullScans)
-	}
-	if !strings.Contains(reason, "NaN") {
-		t.Fatalf("fallback reason %q does not mention the NaN", reason)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2 (selection re-checked during fallback)", len(rows))
+// TestIndexScanRejectsWrongKindProbe: an index scan has one path. A
+// probe the column's type does not order against fails the run at Open
+// with an error naming the column, instead of degrading to a scan.
+func TestIndexScanRejectsWrongKindProbe(t *testing.T) {
+	rel := numbers(t, "R", 30, func(i int) string { return "x" })
+	for _, probe := range []relation.Value{relation.String("5"), relation.Null()} {
+		op := exec.NewIndexScan(rel, 0, "=", probe, func() { t.Error("the index scan counted a failed run") })
+		err := op.Open(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "column K") {
+			t.Errorf("Open with probe %#v: err = %v, want one naming column K", probe, err)
+		}
+		op.Close()
 	}
 }
 

@@ -53,71 +53,42 @@ func (s *FullScan) Next(b *Batch) error {
 // Close releases nothing; full scans hold no resources.
 func (s *FullScan) Close() error { return nil }
 
-// IndexScanHooks wires an index scan to the planner's observability:
-// the scan and fallback counters. Every field is optional.
-type IndexScanHooks struct {
-	// OnIndexScan fires when the index serves the scan.
-	OnIndexScan func()
-	// OnFullScan fires when the scan degrades to a full scan.
-	OnFullScan func()
-	// OnFallback reports why the index could not serve the scan.
-	OnFallback func(reason string)
-}
-
 // IndexScan streams the rows a secondary index selects for "column op
 // value", in row order. The index is the relation's own (Relation.Index),
 // fetched at Open, so a relation written since planning is served from
-// an index of its current rows. If the relation cannot index the column,
-// the scan degrades — loudly, through the hooks — to a full scan that
-// re-checks the selection per row.
+// an index of its current rows.
 type IndexScan struct {
-	rel   *relation.Relation
-	col   int
-	op    string
-	val   relation.Value
-	sel   Pred // the selection predicate, re-checked only in fallback mode
-	hooks IndexScanHooks
+	rel    *relation.Relation
+	col    int
+	op     string
+	val    relation.Value
+	onOpen func() // optional: index-scan counter hook, fired once per run
 
-	ctx      context.Context
-	rows     []int // matched row positions when the index served
-	pos      int
-	fallback bool // degrade to full scan + sel recheck
+	ctx  context.Context
+	rows []int // matched row positions
+	pos  int
 }
 
-// NewIndexScan builds an index scan over column col of rel. sel must
-// decide the same "column op value" condition the index serves; it is
-// consulted only when the scan degrades to a full scan.
-func NewIndexScan(rel *relation.Relation, col int,
-	op string, val relation.Value, sel Pred, hooks IndexScanHooks) *IndexScan {
-	return &IndexScan{rel: rel, col: col, op: op, val: val, sel: sel, hooks: hooks}
+// NewIndexScan builds an index scan over column col of rel. onOpen, when
+// non-nil, fires once per Open (the index-scan counter hook).
+func NewIndexScan(rel *relation.Relation, col int, op string, val relation.Value, onOpen func()) *IndexScan {
+	return &IndexScan{rel: rel, col: col, op: op, val: val, onOpen: onOpen}
 }
 
 // Schema returns the scanned relation's schema.
 func (s *IndexScan) Schema() *relation.Schema { return s.rel.Schema() }
 
-// Open performs the index lookup or arms the fallback full scan.
+// Open performs the index lookup. A value the column's type does not
+// order against fails the run.
 func (s *IndexScan) Open(ctx context.Context) error {
 	s.ctx = ctx
 	s.pos = 0
-	s.fallback = false
-	ix, err := s.rel.Index(s.col)
-	var rows []int
-	if err == nil {
-		rows, err = ix.Lookup(s.op, s.val)
-	}
+	rows, err := s.rel.Index(s.col).Lookup(s.op, s.val)
 	if err != nil {
-		if s.hooks.OnFallback != nil {
-			s.hooks.OnFallback(err.Error())
-		}
-		if s.hooks.OnFullScan != nil {
-			s.hooks.OnFullScan()
-		}
-		s.fallback = true
-		s.rows = nil
-		return nil
+		return err
 	}
-	if s.hooks.OnIndexScan != nil {
-		s.hooks.OnIndexScan()
+	if s.onOpen != nil {
+		s.onOpen()
 	}
 	sort.Ints(rows) // restore row order for stable results
 	s.rows = rows
@@ -129,17 +100,6 @@ func (s *IndexScan) Next(b *Batch) error {
 	b.Reset()
 	if err := s.ctx.Err(); err != nil {
 		return err
-	}
-	if s.fallback {
-		n := s.rel.Len()
-		for s.pos < n && !b.Full() {
-			t := s.rel.Row(s.pos)
-			s.pos++
-			if s.sel == nil || s.sel(t) {
-				b.Append(t)
-			}
-		}
-		return nil
 	}
 	for s.pos < len(s.rows) && !b.Full() {
 		b.Append(s.rel.Row(s.rows[s.pos]))

@@ -475,7 +475,7 @@ func runA3(w io.Writer) error {
 		return err
 	}
 
-	q := query.New(cat, nil, nil)
+	q := query.New(cat, nil)
 	sqls := map[string]string{
 		"Example 1": Example1SQL,
 		"Example 2": Example2SQL,
@@ -634,7 +634,7 @@ func runA6(w io.Writer) error {
 		return err
 	}
 	d.SetRules(set)
-	q := query.New(cat, nil, nil)
+	q := query.New(cat, nil)
 	cases := []struct {
 		label, sql string
 	}{

@@ -6,8 +6,7 @@
 // threshold. The algorithm is a function of the (X, Y) pairs in X
 // order, so it runs as one ordered pass over the source's X column
 // index. The QUEL statements the paper gives are kept executable
-// (InducePairQUEL): they are the oracle the pass is tested against, and
-// they induce a column the index refuses.
+// (InducePairQUEL): they are the oracle the pass is tested against.
 package induct
 
 import (
@@ -132,9 +131,8 @@ func (in *Inducer) InducePair(p Pair) ([]*rules.Rule, error) {
 // function of the source's (X, Y) pairs in X order, so it runs as one
 // ordered pass over the source's X column index (inducePairOrdered),
 // which checks ctx at the start and every ctxCheckGroups groups of
-// equal X. A column the index refuses (NaN or mixed kinds), or a Y
-// value with no order against its group's, has no pass to run; the
-// paper's QUEL statements (InducePairQUEL) induce such a pair.
+// equal X. Every column can be indexed, and a Y column's values are
+// mutually comparable, so the pass answers every pair.
 func (in *Inducer) InducePairContext(ctx context.Context, p Pair) ([]*rules.Rule, error) {
 	xi, yi, err := p.columns()
 	if err != nil {
@@ -143,12 +141,7 @@ func (in *Inducer) InducePairContext(ctx context.Context, p Pair) ([]*rules.Rule
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if ix, err := p.Source.Index(xi); err == nil {
-		if out, ok, err := in.inducePairOrdered(ctx, p, ix, yi); ok || err != nil {
-			return out, err
-		}
-	}
-	return in.InducePairQUEL(ctx, p)
+	return in.inducePairOrdered(ctx, p, p.Source.Index(xi), yi)
 }
 
 // columns resolves the pair's X and Y column positions in its source.
@@ -183,10 +176,8 @@ const ctxCheckGroups = 4096
 //     both X and Y.
 //
 // A group's X and Y are those of its first row with a Y, as the QUEL
-// statements keep the first occurrence. ok is false, with no rules, when
-// a Y is NaN or incomparable with its group's first: Y equality is then
-// not an equivalence, and only the statements define the answer.
-func (in *Inducer) inducePairOrdered(ctx context.Context, p Pair, ix *relation.Index, yi int) (out []*rules.Rule, ok bool, err error) {
+// statements keep the first occurrence.
+func (in *Inducer) inducePairOrdered(ctx context.Context, p Pair, ix *relation.Index, yi int) ([]*rules.Rule, error) {
 	type run struct {
 		y       relation.Value
 		lo, hi  relation.Value
@@ -199,7 +190,7 @@ func (in *Inducer) inducePairOrdered(ctx context.Context, p Pair, ix *relation.I
 	for pos, groups := 0, 0; pos < n; groups++ {
 		if groups%ctxCheckGroups == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		}
 		first := ix.Value(pos)
@@ -214,12 +205,8 @@ func (in *Inducer) inducePairOrdered(ctx context.Context, p Pair, ix *relation.I
 			switch {
 			case yv.IsNull():
 				continue
-			case yv.IsNaN():
-				return nil, false, nil
 			case count == 0:
 				x, y = xv, yv
-			case !yv.Comparable(y):
-				return nil, false, nil
 			case !yv.Equal(y):
 				consistent = false
 			}
@@ -239,6 +226,7 @@ func (in *Inducer) inducePairOrdered(ctx context.Context, p Pair, ix *relation.I
 		}
 	}
 	nc := in.opts.effectiveNc(total)
+	var out []*rules.Rule
 	for _, r := range runs {
 		if r.support < nc {
 			continue
@@ -249,15 +237,14 @@ func (in *Inducer) inducePairOrdered(ctx context.Context, p Pair, ix *relation.I
 			Support: r.support,
 		})
 	}
-	return out, true, nil
+	return out, nil
 }
 
 // InducePairQUEL runs the four-step Rule Induction Algorithm for one
 // attribute pair as the paper states it: the QUEL statements of Section
 // 5.2.1 over a private scratch catalog holding the pair's (X, Y)
 // projection, whose retrieves honour ctx at batch boundaries. It is the
-// reference the ordered pass is tested against, and induces the pairs
-// whose X column the index refuses.
+// reference the ordered pass is tested against, and E1's cross-check.
 func (in *Inducer) InducePairQUEL(ctx context.Context, p Pair) ([]*rules.Rule, error) {
 	xi, yi, err := p.columns()
 	if err != nil {
@@ -281,7 +268,7 @@ func (in *Inducer) InducePairQUEL(ctx context.Context, p Pair) ([]*rules.Rule, e
 
 	scratch := storage.NewCatalog()
 	scratch.Put(base)
-	sess := quel.NewSession(quel.NewPlanner(scratch, nil, nil))
+	sess := quel.NewSession(quel.NewPlanner(scratch, nil))
 	steps := []string{
 		// Step 1: retrieve the (X, Y) value pairs.
 		"range of r is BASE",
@@ -649,7 +636,7 @@ func (in *Inducer) buildJoin(ctx context.Context, r *dict.Relationship) (*materi
 			return nil, err
 		}
 	}
-	rp, err := quel.NewPlanner(cat, nil, nil).PlanRetrieve(st, ranges)
+	rp, err := quel.NewPlanner(cat, nil).PlanRetrieve(st, ranges)
 	if err != nil {
 		return nil, err
 	}

@@ -26,39 +26,22 @@ func renderRules(rs []*rules.Rule) string {
 	return b.String()
 }
 
-// agreeWithQUEL induces p with the ordered pass and with the paper's
-// QUEL statements, and fails unless both give the same rules in the same
-// order with the same supports. It also fails if the ordered pass did
-// not run, so a comparison never silently degenerates into the QUEL
-// path against itself.
+// agreeWithQUEL induces p with the ordered pass (InducePairContext) and
+// with the paper's QUEL statements, and fails unless both give the same
+// rules in the same order with the same supports.
 func agreeWithQUEL(t *testing.T, in *Inducer, p Pair, label string) {
 	t.Helper()
 	ctx := context.Background()
-	xi, yi, err := p.columns()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := p.Source.Index(xi)
-	if err != nil {
-		t.Fatalf("%s: index refused X: %v", label, err)
-	}
-	ordered, ok, err := in.inducePairOrdered(ctx, p, ix, yi)
-	if err != nil || !ok {
-		t.Fatalf("%s: ordered pass did not run (ok=%v, err=%v)", label, ok, err)
-	}
 	want, err := in.InducePairQUEL(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, w := renderRules(ordered), renderRules(want); got != w {
-		t.Fatalf("%s: ordered pass\n%s\nQUEL statements\n%s\nsource:\n%s", label, got, w, p.Source)
-	}
-	served, err := in.InducePairContext(ctx, p)
+	got, err := in.InducePairContext(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, w := renderRules(served), renderRules(want); got != w {
-		t.Fatalf("%s: InducePairContext\n%s\nwant\n%s", label, got, w)
+	if g, w := renderRules(got), renderRules(want); g != w {
+		t.Fatalf("%s: ordered pass\n%s\nQUEL statements\n%s\nsource:\n%s", label, g, w, p.Source)
 	}
 }
 
@@ -286,42 +269,6 @@ func TestOrderedPassMatchesQUELOnShipDB(t *testing.T) {
 	}
 }
 
-// TestRefusedColumnTakesQUELPath checks that a column the index refuses
-// — here an X holding NaN — is induced by the QUEL statements.
-func TestRefusedColumnTakesQUELPath(t *testing.T) {
-	rel := relation.New("R", relation.MustSchema(
-		relation.Column{Name: "X", Type: relation.TFloat},
-		relation.Column{Name: "Y", Type: relation.TString},
-	))
-	for _, r := range [][2]relation.Value{
-		{relation.Float(1), relation.String("a")},
-		{relation.Float(2), relation.String("a")},
-		{relation.Float(math.NaN()), relation.String("b")},
-		{relation.Float(3), relation.String("a")},
-	} {
-		if err := rel.Insert(relation.Tuple{r[0], r[1]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := rel.Index(0); err == nil {
-		t.Fatal("the index accepted a NaN column; this case no longer exercises the fallback")
-	}
-	cat := storage.NewCatalog()
-	cat.Put(rel)
-	in := New(dict.New(cat), Options{})
-	got, err := in.InducePair(bandPair(rel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := in.InducePairQUEL(context.Background(), bandPair(rel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 || renderRules(got) != renderRules(want) {
-		t.Errorf("refused column induced\n%s\nwant the QUEL statements'\n%s", renderRules(got), renderRules(want))
-	}
-}
-
 // cancelAfter is a context whose Err reports cancellation from its
 // n-th call on, so a test can end a pass part-way through its walk.
 type cancelAfter struct {
@@ -364,14 +311,10 @@ func TestInduceHonoursCancellation(t *testing.T) {
 	for i := 0; i < 3*ctxCheckGroups; i++ {
 		rel.MustInsert(relation.Int(int64(i)), relation.String(fmt.Sprint(i/100)))
 	}
-	ix, err := rel.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := rel.Index(0)
 	// Two checks pass (at groups 0 and ctxCheckGroups); the third ends
 	// the walk.
-	_, ok, err := in.inducePairOrdered(&cancelAfter{context.Background(), 2}, bandPair(rel), ix, 1)
-	if err != context.Canceled || ok {
-		t.Errorf("ordered pass cancelled mid-walk returned ok=%v, err=%v", ok, err)
+	if _, err := in.inducePairOrdered(&cancelAfter{context.Background(), 2}, bandPair(rel), ix, 1); err != context.Canceled {
+		t.Errorf("ordered pass cancelled mid-walk returned err=%v", err)
 	}
 }

@@ -34,7 +34,7 @@ func newHarness(t *testing.T, nc int) *harness {
 		t.Fatal(err)
 	}
 	d.SetRules(set)
-	return &harness{d: d, q: query.New(cat, nil, nil), p: infer.New(d)}
+	return &harness{d: d, q: query.New(cat, nil), p: infer.New(d)}
 }
 
 // execute prepares sql as written and runs it, returning the extensional
@@ -332,7 +332,7 @@ func TestPaperRulesInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetRules(shipdb.PaperRules())
-	q := query.New(cat, nil, nil)
+	q := query.New(cat, nil)
 	prep, err := q.Prepare(example1, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func TestInferenceSoundOnRandomDBsProperty(t *testing.T) {
 		}
 		d.SetRules(set)
 		p := infer.New(d)
-		q := query.New(cat, nil, nil)
+		q := query.New(cat, nil)
 
 		ops := []string{"=", "<", "<=", ">", ">="}
 		for trial := 0; trial < 4; trial++ {

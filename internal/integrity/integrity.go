@@ -61,7 +61,7 @@ func BuildCatalog(m *ker.Model) (*storage.Catalog, error) {
 				}
 				cv, err := coerceValue(v, schema.Col(ci).Type)
 				if err != nil {
-					return nil, fmt.Errorf("integrity: instance of %s, attribute %s: %w", o.Name, attr, err)
+					return nil, fmt.Errorf("integrity: instance of %s, attribute %s: %w", o.Name, schema.Col(ci).Name, err)
 				}
 				row[ci] = cv
 			}

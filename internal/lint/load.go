@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one type-checked package of the analyzed module.
@@ -54,6 +55,28 @@ type Config struct {
 	Deps map[string]string
 }
 
+// stdImporter serialises a types.Importer so Load calls on different
+// goroutines can share it.
+type stdImporter struct {
+	mu  sync.Mutex
+	imp types.Importer // guarded by mu
+}
+
+func (s *stdImporter) Import(path string) (*types.Package, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.imp.Import(path)
+}
+
+// The standard library is type-checked from source once per process:
+// every Load resolves it through stdlib, whose packages do not change,
+// so a later Load pays only for its own module. Every Program shares
+// stdFset, the importer's FileSet.
+var (
+	stdFset = token.NewFileSet()
+	stdlib  = &stdImporter{imp: importer.ForCompiler(stdFset, "source", nil)}
+)
+
 // Load parses and type-checks every package under cfg.Dir. Test files
 // (*_test.go) are not loaded: the passes target production code, and
 // external test packages would need a second type-checking universe.
@@ -65,10 +88,10 @@ func Load(cfg Config) (*Program, error) {
 		}
 		cfg.ModulePath = mp
 	}
-	fset := token.NewFileSet()
+	fset := stdFset
 	ld := &loader{
 		fset:     fset,
-		fallback: importer.ForCompiler(fset, "source", nil),
+		fallback: stdlib,
 		roots:    []moduleRoot{{path: cfg.ModulePath, dir: cfg.Dir}},
 		pkgs:     map[string]*Package{},
 		checking: map[string]bool{},
@@ -199,7 +222,7 @@ func (r moduleRoot) dirFor(path string) (string, bool) {
 
 // loader type-checks module packages on demand, recursing through
 // module-internal imports and delegating everything else (the standard
-// library) to the source importer.
+// library) to the shared source importer.
 type loader struct {
 	fset     *token.FileSet
 	fallback types.Importer

@@ -56,10 +56,6 @@ type FullScan struct {
 	Binding  string // range-variable / alias the relation is scanned as
 	Est      int
 	Cols     []Column
-	// Fallback, when non-empty, records why a usable index was abandoned
-	// for this scan (stale index, incomparable probe) — the reason the
-	// plannerIndexFallbacks counter ticked.
-	Fallback string
 }
 
 func (n *FullScan) Kind() string { return "FullScan" }
@@ -68,9 +64,6 @@ func (n *FullScan) Label() string {
 	l := n.Relation
 	if n.Binding != "" && !strings.EqualFold(n.Binding, n.Relation) {
 		l += " as " + n.Binding
-	}
-	if n.Fallback != "" {
-		l += " (index fallback: " + n.Fallback + ")"
 	}
 	return l
 }

@@ -1,10 +1,10 @@
 package quel
 
 import (
-	"strings"
 	"testing"
 
 	"intensional/internal/plan"
+	"intensional/internal/relation"
 )
 
 // planFor parses a retrieve statement and plans it on the session's
@@ -67,7 +67,7 @@ func findFullScan(n plan.Node) *plan.FullScan {
 // instead of exactly one row.
 func TestCostBasedIndexSelection(t *testing.T) {
 	cat := bigCatalog(t, 500) // K unique, G = K%7 (~71 rows per value)
-	s := NewSession(NewPlanner(cat, nil, nil))
+	s := NewSession(NewPlanner(cat, nil))
 	mustExec(t, s, "range of b is BIG")
 
 	for _, src := range []string{
@@ -99,7 +99,7 @@ func TestCostBasedIndexSelection(t *testing.T) {
 // first must not shadow a selective equality on another column.
 func TestCostBasedSelectionPrefersEquality(t *testing.T) {
 	cat := bigCatalog(t, 500)
-	s := NewSession(NewPlanner(cat, nil, nil))
+	s := NewSession(NewPlanner(cat, nil))
 	mustExec(t, s, "range of b is BIG")
 
 	rp := planFor(t, s, "retrieve (b.K) where b.K > 10 and b.G = 3")
@@ -113,44 +113,59 @@ func TestCostBasedSelectionPrefersEquality(t *testing.T) {
 	}
 }
 
-// TestFallbackCounterAndLog: an index-usable conjunct whose probe value
-// cannot be compared with the column (string probe on an int column)
-// degrades to a full scan — counted, logged with the reason, and
-// surfaced in the plan.
-func TestFallbackCounterAndLog(t *testing.T) {
+// TestWrongKindSelectionIsFiltered: a selection whose constant the
+// column's type does not order against (a string or a null against an
+// int column) is no index candidate. It stays in the filter over a full
+// scan, where it matches no row; an index-usable selection beside it
+// still gets the index.
+func TestWrongKindSelectionIsFiltered(t *testing.T) {
 	cat := bigCatalog(t, 100)
 	var c Counters
-	var logged []string
-	s := NewSession(NewPlanner(cat, &c, func(format string, args ...any) {
-		logged = append(logged, format)
-	}))
-	mustExec(t, s, "range of b is BIG")
-
-	rp := planFor(t, s, `retrieve (b.K) where b.K = "oops"`)
-	if got := c.IndexFallbacks.Load(); got != 1 {
-		t.Errorf("IndexFallbacks = %d, want 1", got)
-	}
-	if len(logged) != 1 || !strings.Contains(logged[0], "index fallback") {
-		t.Errorf("logged = %q", logged)
-	}
-	fs := findFullScan(rp.Describe())
-	if fs == nil {
-		t.Fatalf("no full scan in plan\n%s", rp.Describe())
-	}
-	if fs.Fallback == "" || !strings.Contains(fs.Label(), "index fallback") {
-		t.Errorf("fallback not surfaced in plan: %q", fs.Label())
-	}
-	// The query still answers (comparison with an incomparable value is
-	// simply false for every row).
-	res, err := rp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rel.Len() != 0 {
-		t.Errorf("rows = %d, want 0", res.Rel.Len())
-	}
-	if got := c.FullScans.Load(); got != 1 {
-		t.Errorf("FullScans = %d, want 1", got)
+	pl := NewPlanner(cat, &c)
+	ranges := map[string]string{"b": "BIG"}
+	for _, tc := range []struct {
+		src   string
+		probe relation.Value // replaces the first conjunct's constant
+		index bool           // whether the plan has an index scan
+	}{
+		{`retrieve (b.K) where b.K = "oops"`, relation.String("oops"), false},
+		{`retrieve (b.K) where b.K = 0`, relation.Null(), false},
+		{`retrieve (b.K) where b.K = 0 and b.G = 3`, relation.String("3"), true},
+	} {
+		st, err := Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rst := st.(*RetrieveStmt)
+		first := rst.Where
+		if and, ok := first.(*AndExpr); ok {
+			first = and.Terms[0]
+		}
+		first.(*BinExpr).R = ConstOperand{Val: tc.probe}
+		before := c.IndexScans.Load()
+		rp, err := pl.PlanRetrieve(rst, ranges)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		ix := findIndexScan(rp.Describe())
+		if (ix != nil) != tc.index || (ix != nil && ix.Column != "G") {
+			t.Errorf("%s with %#v: index scan %+v, want one on G: %v\n%s",
+				tc.src, tc.probe, ix, tc.index, rp.Describe())
+		}
+		res, err := rp.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rel.Len() != 0 {
+			t.Errorf("%s with %#v: rows = %d, want 0", tc.src, tc.probe, res.Rel.Len())
+		}
+		want := int64(0)
+		if tc.index {
+			want = 1
+		}
+		if got := c.IndexScans.Load() - before; got != want {
+			t.Errorf("%s with %#v: %d index scans counted, want %d", tc.src, tc.probe, got, want)
+		}
 	}
 }
 
@@ -159,7 +174,7 @@ func TestFallbackCounterAndLog(t *testing.T) {
 func TestScanCounters(t *testing.T) {
 	cat := bigCatalog(t, 200)
 	var c Counters
-	s := NewSession(NewPlanner(cat, &c, nil))
+	s := NewSession(NewPlanner(cat, &c))
 	mustExec(t, s, "range of b is BIG")
 
 	mustExec(t, s, "retrieve (b.K) where b.K = 42")
@@ -179,7 +194,7 @@ func TestScanCounters(t *testing.T) {
 func TestSharedIndexCache(t *testing.T) {
 	cat := bigCatalog(t, 200)
 	var c Counters
-	pl := NewPlanner(cat, &c, nil)
+	pl := NewPlanner(cat, &c)
 	ranges := map[string]string{"b": "BIG"}
 	rel, err := cat.Get("BIG")
 	if err != nil {
@@ -193,12 +208,9 @@ func TestSharedIndexCache(t *testing.T) {
 	if res.Rel.Len() != 1 {
 		t.Fatalf("rows = %d, want 1", res.Rel.Len())
 	}
-	built, err := rel.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	built := rel.Index(0)
 
-	other := NewPlanner(cat, &c, nil)
+	other := NewPlanner(cat, &c)
 	for _, p := range []*Planner{pl, other} {
 		res, err = planOn(t, p, ranges, "retrieve (b.G) where b.K = 42").Run()
 		if err != nil {
@@ -211,7 +223,7 @@ func TestSharedIndexCache(t *testing.T) {
 	if n := c.IndexScans.Load(); n != 3 {
 		t.Errorf("IndexScans = %d, want 3", n)
 	}
-	if again, _ := rel.Index(0); again != built {
+	if again := rel.Index(0); again != built {
 		t.Error("a later statement rebuilt the index; want 1 shared index")
 	}
 }

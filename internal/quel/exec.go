@@ -21,64 +21,32 @@ type Counters struct {
 	FullScans atomic.Int64
 	// IndexScans counts access paths served by a secondary index.
 	IndexScans atomic.Int64
-	// IndexFallbacks counts access paths that wanted an index but had to
-	// degrade to a full scan — a column holding mixed kinds or a NaN,
-	// or an incomparable probe value. A steadily climbing value means
-	// some query is quietly running O(n).
-	IndexFallbacks atomic.Int64
 }
 
 // Planner plans retrieve statements against one catalog. Selective
 // conditions on large relations are served by the relation's own sorted
 // column indexes (relation.Relation.Index), which the relation rebuilds
 // when its data changes; the planner reports its access-path decisions
-// to counters and a logger. A Planner holds no per-statement state —
-// every statement brings its own range bindings — so one planner serves
-// concurrent callers.
+// to counters. A Planner holds no per-statement state — every statement
+// brings its own range bindings — so one planner serves concurrent
+// callers.
 type Planner struct {
 	cat      *storage.Catalog
 	counters *Counters
-	logf     func(format string, args ...any)
 }
 
 // NewPlanner creates a planner over cat that tallies its access paths in
-// counters and logs index fallbacks through logf; either may be nil.
-func NewPlanner(cat *storage.Catalog, counters *Counters, logf func(format string, args ...any)) *Planner {
+// counters, which may be nil.
+func NewPlanner(cat *storage.Catalog, counters *Counters) *Planner {
 	if counters == nil {
 		counters = new(Counters)
 	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	return &Planner{cat: cat, counters: counters, logf: logf}
+	return &Planner{cat: cat, counters: counters}
 }
 
 // indexMinRows is the relation size below which a scan beats building an
 // index.
 const indexMinRows = 64
-
-// indexFor returns the relation's index on column col. A nil index with
-// an empty reason means indexing is simply not worthwhile (small
-// relation); a non-empty reason reports why the relation cannot index
-// the column, which the caller should surface as an index fallback.
-func indexFor(rel *relation.Relation, col int) (*relation.Index, string) {
-	if rel.Len() < indexMinRows {
-		return nil, ""
-	}
-	ix, err := rel.Index(col)
-	if err != nil {
-		return nil, err.Error()
-	}
-	return ix, ""
-}
-
-// noteFallback records an index that could not serve a planned access
-// path — the silent-degradation case the plannerIndexFallbacks metric
-// exists to expose.
-func (p *Planner) noteFallback(rel, col, reason string) {
-	p.counters.IndexFallbacks.Add(1)
-	p.logf("quel: index fallback on %s.%s: %s", rel, col, reason)
-}
 
 func (p *Planner) countFullScan() { p.counters.FullScans.Add(1) }
 
@@ -533,11 +501,7 @@ type accessPath struct {
 	// compare).
 	sel   *conjunct
 	count int
-	// fallback records why an index-usable selection could not get an
-	// index at plan time (a column holding mixed kinds or a NaN, count
-	// error); empty when an index was chosen or none was applicable.
-	fallback string
-	est      int
+	est   int
 }
 
 // joinEdge is one equality conjunct between the bound prefix and the
@@ -609,35 +573,23 @@ func (sc *scope) plan(where Expr) (*scanPlan, error) {
 			}
 		}
 		rel := sc.rels[slot]
-		failCol := ""
-		for _, c := range sels {
-			col := rel.Schema().Col(c.selAttr).Name
-			ix, reason := indexFor(rel, c.selAttr)
-			if ix == nil {
-				if reason != "" && ap.fallback == "" {
-					ap.fallback, failCol = reason, col
+		if rel.Len() >= indexMinRows {
+			for _, c := range sels {
+				if !rel.Schema().Col(c.selAttr).Type.Comparable(c.selVal) {
+					continue // matches no row: left to the filter
 				}
-				continue
-			}
-			cnt, err := ix.Count(c.selOp, c.selVal)
-			if err != nil {
-				if ap.fallback == "" {
-					ap.fallback, failCol = err.Error(), col
+				cnt, err := rel.Index(c.selAttr).Count(c.selOp, c.selVal)
+				if err != nil {
+					return nil, err
 				}
-				continue
-			}
-			if ap.sel == nil || cnt < ap.count {
-				ap.sel, ap.count = c, cnt
+				if ap.sel == nil || cnt < ap.count {
+					ap.sel, ap.count = c, cnt
+				}
 			}
 		}
 		if ap.sel != nil {
-			// An index was chosen; any earlier candidate's failure is moot.
-			ap.fallback = ""
 			ap.est = selectivity(ap.count, len(ap.preds)-1)
 		} else {
-			if ap.fallback != "" {
-				sc.pl.noteFallback(rel.Name(), failCol, ap.fallback)
-			}
 			ap.est = selectivity(rel.Len(), len(ap.preds))
 		}
 	}

@@ -32,7 +32,7 @@ func TestExecNeverPanicsProperty(t *testing.T) {
 		))
 		rel.MustInsert(relation.Int(1), relation.String("a"))
 		cat.Put(rel)
-		sess := NewSession(NewPlanner(cat, nil, nil))
+		sess := NewSession(NewPlanner(cat, nil))
 		_, _ = sess.Exec("range of r is REL")
 		for stmt := 0; stmt < 3; stmt++ {
 			n := rr.Intn(20)
@@ -79,7 +79,7 @@ func FuzzExec(f *testing.F) {
 		))
 		rel.MustInsert(relation.Int(1), relation.String("a"))
 		cat.Put(rel)
-		sess := NewSession(NewPlanner(cat, nil, nil))
+		sess := NewSession(NewPlanner(cat, nil))
 		if _, err := sess.Exec("range of r is REL"); err != nil {
 			t.Fatalf("seed range statement: %v", err)
 		}

@@ -30,7 +30,7 @@ func bigCatalog(t *testing.T, n int) *storage.Catalog {
 func TestIndexedSelection(t *testing.T) {
 	cat := bigCatalog(t, 500)
 	var c Counters
-	s := NewSession(NewPlanner(cat, &c, nil))
+	s := NewSession(NewPlanner(cat, &c))
 	mustExec(t, s, "range of b is BIG")
 
 	res := mustExec(t, s, "retrieve (b.K) where b.K = 250")
@@ -41,10 +41,7 @@ func TestIndexedSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := rel.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	built := rel.Index(0)
 
 	res = mustExec(t, s, "retrieve (b.K) where b.K >= 490")
 	if res.Rel.Len() != 10 {
@@ -56,7 +53,7 @@ func TestIndexedSelection(t *testing.T) {
 			t.Errorf("row %d = %v", i, row)
 		}
 	}
-	if ix, _ := rel.Index(0); ix != built {
+	if ix := rel.Index(0); ix != built {
 		t.Error("range lookup rebuilt the index; want it reused")
 	}
 	if n := c.IndexScans.Load(); n != 2 {
@@ -80,7 +77,7 @@ func TestIndexedSelection(t *testing.T) {
 // stale index results.
 func TestIndexInvalidatedByMutation(t *testing.T) {
 	cat := bigCatalog(t, 200)
-	s := NewSession(NewPlanner(cat, nil, nil))
+	s := NewSession(NewPlanner(cat, nil))
 	mustExec(t, s, "range of b is BIG")
 	res := mustExec(t, s, "retrieve (b.K) where b.K = 150")
 	if res.Rel.Len() != 1 {
@@ -102,7 +99,7 @@ func TestIndexInvalidatedByMutation(t *testing.T) {
 // relation and cross-checks against relation.Select.
 func TestIndexedMatchesScanOnLargeData(t *testing.T) {
 	cat := bigCatalog(t, 300)
-	s := NewSession(NewPlanner(cat, nil, nil))
+	s := NewSession(NewPlanner(cat, nil))
 	mustExec(t, s, "range of b is BIG")
 	rel, _ := cat.Get("BIG")
 	for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {

@@ -290,8 +290,8 @@ func (sc *scope) filter(t exec.Tree, conjs []*conjunct, offs []int, est int) (ex
 // scan lowers one access path: its scan leaf, wired to the planner's
 // scan counters, under a Filter for the pushed-down predicates it does
 // not serve. An index path keeps its selection out of the filter (the
-// index serves it exactly) but carries a compiled re-check for fallback
-// mode; a full-scan path filters on every pushed-down predicate.
+// index serves it exactly); a full-scan path filters on every
+// pushed-down predicate.
 func (sc *scope) scan(ap *accessPath) (exec.Tree, error) {
 	pl, rel := sc.pl, sc.rels[ap.slot]
 
@@ -308,29 +308,20 @@ func (sc *scope) scan(ap *accessPath) (exec.Tree, error) {
 	var t exec.Tree
 	extra := ap.preds
 	if ap.sel != nil {
-		sel, err := sc.compileRow(ap.sel.expr, offs)
-		if err != nil {
-			return exec.Tree{}, err
-		}
 		attr, op, val := ap.sel.selAttr, ap.sel.selOp, ap.sel.selVal
-		col := rel.Schema().Col(attr).Name
-		hooks := exec.IndexScanHooks{
-			OnIndexScan: pl.countIndexScan,
-			OnFullScan:  pl.countFullScan,
-			OnFallback:  func(reason string) { pl.noteFallback(rel.Name(), col, reason) },
-		}
+		onOpen := pl.countIndexScan
 		t = exec.Tree{
 			Node: &plan.IndexScan{
 				Relation: rel.Name(),
 				Binding:  alias,
-				Column:   col,
+				Column:   rel.Schema().Col(attr).Name,
 				Op:       op,
 				Value:    val.GoString(),
 				Est:      ap.count,
 				Cols:     cols,
 				Implied:  ap.sel.implied,
 			},
-			New: func() exec.Operator { return exec.NewIndexScan(rel, attr, op, val, sel, hooks) },
+			New: func() exec.Operator { return exec.NewIndexScan(rel, attr, op, val, onOpen) },
 		}
 		extra = nil
 		for _, c := range ap.preds {
@@ -346,7 +337,6 @@ func (sc *scope) scan(ap *accessPath) (exec.Tree, error) {
 				Binding:  alias,
 				Est:      rel.Len(),
 				Cols:     cols,
-				Fallback: ap.fallback,
 			},
 			New: func() exec.Operator { return exec.NewFullScan(rel, onOpen) },
 		}

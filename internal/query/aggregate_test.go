@@ -11,7 +11,7 @@ import (
 // test bed — per-type class counts and displacement ranges, which is
 // Table 1's shape computed by SQL instead of induction.
 func TestGroupByTypeSummary(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, an, err := run(p, `
 		SELECT Type, COUNT(*), MIN(Displacement), MAX(Displacement), AVG(Displacement)
 		FROM CLASS GROUP BY Type ORDER BY Type`)
@@ -42,7 +42,7 @@ func TestGroupByTypeSummary(t *testing.T) {
 }
 
 func TestAggregateNoGroupBy(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, _, err := run(p, `SELECT COUNT(*), SUM(Displacement) FROM CLASS WHERE Type = "SSBN"`)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestAggregateNoGroupBy(t *testing.T) {
 }
 
 func TestAggregateEmptyInput(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, _, err := run(p, `SELECT COUNT(*), MIN(Displacement) FROM CLASS WHERE Displacement > 999999`)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestCountColumnSkipsNulls(t *testing.T) {
 	cat := shipdb.Catalog()
 	cls, _ := cat.Get("CLASS")
 	cls.MustInsert(relation.String("9999"), relation.Null(), relation.String("SSN"), relation.Null())
-	p := New(cat, nil, nil)
+	p := New(cat, nil)
 	rel, _, err := run(p, `SELECT COUNT(*), COUNT(Displacement) FROM CLASS`)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestCountColumnSkipsNulls(t *testing.T) {
 }
 
 func TestAggregateWithJoinAndAlias(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, _, err := run(p, `
 		SELECT CLASS.Type, COUNT(*) AS ships
 		FROM SUBMARINE, CLASS
@@ -130,7 +130,7 @@ func TestAvgOverFloats(t *testing.T) {
 	r.MustInsert(relation.String("a"), relation.Float(1.5))
 	r.MustInsert(relation.String("a"), relation.Float(2.5))
 	cat.Put(r)
-	p := New(cat, nil, nil)
+	p := New(cat, nil)
 	rel, _, err := run(p, `SELECT G, AVG(F), SUM(F) FROM M GROUP BY G`)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestAvgOverFloats(t *testing.T) {
 }
 
 func TestAggregateErrors(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	bad := []string{
 		`SELECT Class, COUNT(*) FROM CLASS`,              // Class not grouped
 		`SELECT * FROM CLASS GROUP BY Type`,              // star with grouping
@@ -161,7 +161,7 @@ func TestAggregateErrors(t *testing.T) {
 
 func TestGroupByWithoutAggregates(t *testing.T) {
 	// GROUP BY alone acts as DISTINCT over the group columns.
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, _, err := run(p, `SELECT Type FROM CLASS GROUP BY Type`)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"intensional/internal/quel"
@@ -37,38 +38,64 @@ func rowKeys(rel *relation.Relation) []string {
 	return out
 }
 
-// TestNaNColumnIndexAgreesWithScan: a NaN compares equal to every number,
-// so a float column holding one has no total order for an index to
-// binary-search. "K = 5" — an index-usable condition — must return the
-// same multiset as "K = 5 OR K = 5", which always runs as a full scan
-// under Value.Equal, and the planner must report the column's index
-// fallback.
+// TestNaNColumnIndexAgreesWithScan: a NaN compares equal to every
+// number, so a float column holding one would give an index, a hash
+// join, a cross join with a residual and DISTINCT four different
+// answers. A float column cannot hold one: SQL INSERT refuses 'NaN',
+// and the relation refuses a NaN or an infinity, naming the column.
+// Over what it does hold, "TV = 5" — served by the index — returns the
+// multiset "TV = 5 OR TV = 5", a full scan, returns, and the join
+// shapes agree with it.
 func TestNaNColumnIndexAgreesWithScan(t *testing.T) {
 	vals := make([]relation.Value, 100)
 	for i := range vals {
 		vals[i] = relation.Float(float64(i % 10))
-		if i%7 == 0 {
-			vals[i] = relation.Float(math.NaN())
+	}
+	cat := floatCatalog(t, map[string][]relation.Value{"T": vals, "U": {relation.Int(5)}})
+	rel, err := cat.Get("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := rel.Insert(relation.Tuple{relation.Float(v)}); err == nil || !strings.Contains(err.Error(), "column TV") {
+			t.Errorf("Insert(%v): err = %v, want one naming TV", v, err)
 		}
 	}
 	var c quel.Counters
-	p := New(floatCatalog(t, map[string][]relation.Value{"T": vals}), &c, nil)
+	p := New(cat, &c)
+	if _, err := ApplyMutation(cat, mustDML(t, "INSERT INTO T VALUES ('NaN')")); err == nil {
+		t.Error("INSERT INTO T VALUES ('NaN') was accepted")
+	}
 	indexed, _, err := run(p, "SELECT TV FROM T WHERE TV = 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanned, _, err := run(p, "SELECT TV FROM T WHERE TV = 5 OR TV = 5")
+	if n := c.IndexScans.Load(); n != 1 {
+		t.Errorf("IndexScans = %d, want 1", n)
+	}
+	want := rowKeys(indexed)
+	if len(want) != 10 {
+		t.Errorf("TV = 5 gives %d rows, want 10", len(want))
+	}
+	for _, sql := range []string{
+		"SELECT TV FROM T WHERE TV = 5 OR TV = 5",
+		"SELECT T.TV FROM T, U WHERE T.TV = U.UV",
+		"SELECT T.TV FROM T, U WHERE T.TV >= U.UV AND T.TV <= U.UV",
+	} {
+		got, _, err := run(p, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if g := rowKeys(got); !slices.Equal(g, want) {
+			t.Errorf("%s gives %d rows, TV = 5 gives %d", sql, len(g), len(want))
+		}
+	}
+	distinct, _, err := run(p, "SELECT DISTINCT TV FROM T WHERE TV = 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rowKeys(indexed), rowKeys(scanned); !slices.Equal(got, want) {
-		t.Errorf("TV = 5 gives %d rows, TV = 5 OR TV = 5 gives %d", len(got), len(want))
-	}
-	if n := c.IndexScans.Load(); n != 0 {
-		t.Errorf("IndexScans = %d, want 0 (the column holds NaN)", n)
-	}
-	if n := c.IndexFallbacks.Load(); n == 0 {
-		t.Error("IndexFallbacks = 0, want the refused index counted")
+	if distinct.Len() != 1 {
+		t.Errorf("DISTINCT TV where TV = 5 gives %d rows, want 1", distinct.Len())
 	}
 }
 
@@ -79,7 +106,7 @@ func TestSignedZeroKeys(t *testing.T) {
 	p := New(floatCatalog(t, map[string][]relation.Value{
 		"T": {relation.Float(0), negZero},
 		"U": {relation.Float(0)},
-	}), nil, nil)
+	}), nil)
 	for _, c := range []struct {
 		sql  string
 		want int

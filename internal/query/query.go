@@ -72,10 +72,9 @@ type Processor struct {
 }
 
 // New creates a processor over the catalog whose planner tallies its
-// access paths in counters and logs diagnostics through logf; either may
-// be nil.
-func New(cat *storage.Catalog, counters *quel.Counters, logf func(format string, args ...any)) *Processor {
-	return &Processor{cat: cat, pl: quel.NewPlanner(cat, counters, logf)}
+// access paths in counters, which may be nil.
+func New(cat *storage.Catalog, counters *quel.Counters) *Processor {
+	return &Processor{cat: cat, pl: quel.NewPlanner(cat, counters)}
 }
 
 // binder resolves table bindings and column references for one query.

@@ -74,7 +74,7 @@ func expectRows(t *testing.T, got *relation.Relation, want []string) {
 // TestExample1Extensional reproduces the paper's Example 1 extensional
 // answer exactly.
 func TestExample1Extensional(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, an, err := run(p, Example1SQL)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestExample1Extensional(t *testing.T) {
 
 // TestExample2Extensional reproduces Example 2's seven SSBN ships.
 func TestExample2Extensional(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, an, err := run(p, Example2SQL)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestExample2Extensional(t *testing.T) {
 
 // TestExample3Extensional reproduces Example 3's four BQS-04 ships.
 func TestExample3Extensional(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, an, err := run(p, Example3SQL)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestExample3Extensional(t *testing.T) {
 }
 
 func TestSelectStarAndDistinct(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, _, err := run(p, "SELECT * FROM TYPE")
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestSelectStarAndDistinct(t *testing.T) {
 }
 
 func TestOrderBy(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, _, err := run(p, "SELECT Class, Displacement FROM CLASS ORDER BY Displacement DESC")
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestOrderBy(t *testing.T) {
 }
 
 func TestAliasesAndUnqualified(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, an, err := run(p, `SELECT s.Name, c.Type FROM SUBMARINE s, CLASS c
 		WHERE s.Class = c.Class AND Displacement > 8000`)
 	if err != nil {
@@ -199,7 +199,7 @@ func TestAliasesAndUnqualified(t *testing.T) {
 }
 
 func TestColumnAlias(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, _, err := run(p, "SELECT Class AS ShipClass FROM CLASS")
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestColumnAlias(t *testing.T) {
 }
 
 func TestAmbiguousAndUnknownColumns(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	if _, _, err := run(p, "SELECT Class FROM SUBMARINE, CLASS WHERE SUBMARINE.Class = CLASS.Class"); err == nil {
 		t.Error("ambiguous unqualified column should error")
 	}
@@ -229,7 +229,7 @@ func TestAmbiguousAndUnknownColumns(t *testing.T) {
 }
 
 func TestNonConjunctiveAnalysis(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	_, an, err := run(p, `SELECT Class FROM CLASS WHERE Type = "SSBN" OR Displacement > 8000`)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestNonConjunctiveAnalysis(t *testing.T) {
 }
 
 func TestFlippedLiteralComparison(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	rel, an, err := run(p, "SELECT Class FROM CLASS WHERE 8000 < Displacement")
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestFlippedLiteralComparison(t *testing.T) {
 }
 
 func TestNotEqualRestrictionHasNoInterval(t *testing.T) {
-	p := New(shipdb.Catalog(), nil, nil)
+	p := New(shipdb.Catalog(), nil)
 	_, an, err := run(p, `SELECT Class FROM CLASS WHERE Type != "SSN"`)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestNotEqualRestrictionHasNoInterval(t *testing.T) {
 }
 
 func TestEmptyCatalogProcessor(t *testing.T) {
-	p := New(storage.NewCatalog(), nil, nil)
+	p := New(storage.NewCatalog(), nil)
 	if _, _, err := run(p, "SELECT a FROM b"); err == nil {
 		t.Error("query on empty catalog should error")
 	}
@@ -300,10 +300,7 @@ func bigIndex(t *testing.T, cat *storage.Catalog) *relation.Index {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := rel.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := rel.Index(0)
 	return ix
 }
 
@@ -312,7 +309,7 @@ func bigIndex(t *testing.T, cat *storage.Catalog) *relation.Index {
 func TestProcessorSharesIndexes(t *testing.T) {
 	var c quel.Counters
 	cat := bigCatalog()
-	p := New(cat, &c, nil)
+	p := New(cat, &c)
 	var built *relation.Index
 	for _, sql := range []string{
 		"SELECT K FROM BIG WHERE K = 42",
@@ -343,7 +340,7 @@ func TestProcessorSharesIndexes(t *testing.T) {
 func TestProcessorConcurrentPrepare(t *testing.T) {
 	var c quel.Counters
 	cat := bigCatalog()
-	p := New(cat, &c, nil)
+	p := New(cat, &c)
 	big, err := cat.Get("BIG")
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +361,7 @@ func TestProcessorConcurrentPrepare(t *testing.T) {
 			if rel.Len() != 1 || rel.Row(0)[0].Int64() != int64(w%7) {
 				t.Errorf("%s: rows %v", sql, rel.Rows())
 			}
-			shared[w], _ = big.Index(0)
+			shared[w] = big.Index(0)
 		}(w)
 	}
 	wg.Wait()

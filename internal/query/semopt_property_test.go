@@ -147,7 +147,7 @@ func TestSemoptRewrittenPlansMatchBaseline(t *testing.T) {
 		d.SetRules(consistentRandomRules(rr, cat))
 		sql := randomConjunctiveSQL(rr, join)
 
-		proc := query.New(cat, nil, nil)
+		proc := query.New(cat, nil)
 		baseline, err := proc.Prepare(sql, nil)
 		if err != nil {
 			t.Logf("seed %d: baseline prepare %q: %v", seed, sql, err)

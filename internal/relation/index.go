@@ -20,67 +20,44 @@ type Index struct {
 }
 
 // indexSlot is one column's entry in a relation's index set: the last
-// index built over it, or the reason the column could not be indexed,
-// as of one relation version.
+// index built over it, as of one relation version.
 type indexSlot struct {
 	mu      sync.Mutex
-	version uint64 // guarded by mu — the relation version ix or err describes
-	ix      *Index // guarded by mu — nil, with err nil, until first built
-	err     error  // guarded by mu
+	version uint64 // guarded by mu — the relation version ix describes
+	ix      *Index // guarded by mu — nil until first built
 }
 
 // Index returns the relation's sorted index on column col, building it
 // on first use and again after any mutation. Every reader of the
-// relation — the planner, index scans, the data dictionary — shares the
-// one index, and concurrent first calls build it once. Null values are
-// not indexed (no comparison matches them).
-//
-// The column's non-null values must be kind-homogeneous (all mutually
-// comparable: one of {string} or {int, float}) and free of NaN. A
-// mixed-kind column has no total order — Value.Less falls back to an
-// arbitrary cross-kind order — and a NaN compares equal to every number,
-// so in either case a binary search could return a wrong range. Such a
-// column is refused with an error, remembered until the relation
-// changes, rather than producing incorrect rows at lookup time.
-func (r *Relation) Index(col int) (*Index, error) {
-	if col < 0 || col >= r.schema.Len() {
-		return nil, fmt.Errorf("relation %s: column %d out of range", r.name, col)
-	}
+// relation — the planner, index scans, the data dictionary, induction —
+// shares the one index, and concurrent first calls build it once. Null
+// values are not indexed (no probe matches them). Every column can
+// be indexed: its non-null values conform to its type (Conforms), so
+// they are mutually comparable and Compare orders them totally. col must
+// be a column of the relation.
+func (r *Relation) Index(col int) *Index {
 	r.ixOnce.Do(func() { r.ixs = make([]indexSlot, r.schema.Len()) })
 	s := &r.ixs[col]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if (s.ix == nil && s.err == nil) || s.version != r.version {
-		s.ix, s.err = r.buildIndex(col)
+	if s.ix == nil || s.version != r.version {
+		s.ix = r.buildIndex(col)
 		s.version = r.version
 	}
-	return s.ix, s.err
+	return s.ix
 }
 
-func (r *Relation) buildIndex(ci int) (*Index, error) {
+func (r *Relation) buildIndex(ci int) *Index {
 	ix := &Index{rel: r, col: ci, version: r.version}
-	first := Null()
 	for i, row := range r.rows {
-		v := row[ci]
-		if v.IsNull() {
-			continue
+		if !row[ci].IsNull() {
+			ix.order = append(ix.order, i)
 		}
-		if v.IsNaN() {
-			return nil, fmt.Errorf("relation %s: cannot index column %q: it holds NaN",
-				r.name, r.schema.Col(ci).Name)
-		}
-		if first.IsNull() {
-			first = v
-		} else if !v.Comparable(first) {
-			return nil, fmt.Errorf("relation %s: cannot index column %q: mixed %s and %s values",
-				r.name, r.schema.Col(ci).Name, first.Kind(), v.Kind())
-		}
-		ix.order = append(ix.order, i)
 	}
 	sort.SliceStable(ix.order, func(a, b int) bool {
 		return r.rows[ix.order[a]][ci].Less(r.rows[ix.order[b]][ci])
 	})
-	return ix, nil
+	return ix
 }
 
 // Fresh reports whether the index still matches the relation's contents.
@@ -100,18 +77,19 @@ func (ix *Index) Row(p int) int { return ix.order[p] }
 
 // bounds binary-searches the sorted order for the probe value: lower is
 // the first position with value >= v, upper the first with value > v.
-// Incomparable probes are rejected up front (the index is
-// kind-homogeneous, so checking one value covers all), and a stale index
-// is an error.
+// A stale index, or a probe of a kind the column's type does not order
+// against, is an error: the caller asked a question the index cannot
+// answer.
 func (ix *Index) bounds(v Value) (lower, upper int, err error) {
 	if !ix.Fresh() {
 		return 0, 0, fmt.Errorf("relation %s: index is stale", ix.rel.name)
 	}
-	n := len(ix.order)
-	if n > 0 && !ix.Value(0).Comparable(v) {
-		return 0, 0, fmt.Errorf("relation %s: cannot compare %s column with %s",
-			ix.rel.name, ix.rel.schema.Col(ix.col).Type, v.Kind())
+	col := ix.rel.schema.Col(ix.col)
+	if !col.Type.Comparable(v) {
+		return 0, 0, fmt.Errorf("relation %s: cannot compare %s column %s with %s",
+			ix.rel.name, col.Type, col.Name, v.Kind())
 	}
+	n := len(ix.order)
 	lower = sort.Search(n, func(p int) bool { return ix.Value(p).MustCompare(v) >= 0 })
 	upper = sort.Search(n, func(p int) bool { return ix.Value(p).MustCompare(v) > 0 })
 	return lower, upper, nil

@@ -24,10 +24,7 @@ func indexedRelation(t *testing.T) *Relation {
 
 func TestIndexLookupOperators(t *testing.T) {
 	r := indexedRelation(t)
-	ix, err := r.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := r.Index(0)
 	if ix.Len() != 6 {
 		t.Fatalf("indexed rows = %d, want 6 (null excluded)", ix.Len())
 	}
@@ -65,10 +62,7 @@ func TestIndexLookupOperators(t *testing.T) {
 
 func TestIndexStaleness(t *testing.T) {
 	r := indexedRelation(t)
-	ix, err := r.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := r.Index(0)
 	if !ix.Fresh() {
 		t.Fatal("fresh index reported stale")
 	}
@@ -105,11 +99,31 @@ func TestIndexStaleness(t *testing.T) {
 	}
 }
 
+// TestBuildIndexErrors: every column can be indexed, so the errors left
+// are a probe's: a value the column's type does not order against (a
+// null included) fails Lookup and Count with an error naming the column,
+// on an empty index too.
 func TestBuildIndexErrors(t *testing.T) {
 	r := indexedRelation(t)
-	for _, col := range []int{-1, 2} {
-		if _, err := r.Index(col); err == nil {
-			t.Errorf("Index(%d) on a two-column relation should error", col)
+	empty := New("E", r.Schema())
+	for _, c := range []struct {
+		rel   *Relation
+		col   int
+		probe Value
+	}{
+		{r, 0, String("x")},
+		{r, 0, Null()},
+		{r, 1, Int(1)},
+		{r, 1, Float(1)},
+		{empty, 0, String("x")},
+	} {
+		name := c.rel.Schema().Col(c.col).Name
+		ix := c.rel.Index(c.col)
+		if _, err := ix.Lookup("=", c.probe); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s.%s Lookup(= %#v): err = %v, want one naming %s", c.rel.Name(), name, c.probe, err, name)
+		}
+		if _, err := ix.Count("<", c.probe); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s.%s Count(< %#v): err = %v, want one naming %s", c.rel.Name(), name, c.probe, err, name)
 		}
 	}
 }
@@ -124,10 +138,7 @@ func TestIndexAgreesWithScanProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			r.MustInsert(Int(int64(rr.Intn(20))))
 		}
-		ix, err := r.Index(0)
-		if err != nil {
-			return false
-		}
+		ix := r.Index(0)
 		for trial := 0; trial < 5; trial++ {
 			op := ops[rr.Intn(len(ops))]
 			v := Int(int64(rr.Intn(20)))
@@ -164,32 +175,31 @@ func TestIndexAgreesWithScanProperty(t *testing.T) {
 	}
 }
 
-// TestBuildIndexRejectsMixedKinds is the regression test for the
-// mixed-kind binary-search bug: a column holding both strings and
-// numbers has no total order, so sorting it with Value.Less and then
-// binary-searching could return a wrong range (Lookup only checked the
-// probe against the first indexed value). Build must refuse instead.
+// TestBuildIndexRejectsMixedKinds: a column mixing strings and numbers
+// has no total order, so a binary search over it could return a wrong
+// range. Such a column cannot arise: Insert and Set refuse a value of
+// another kind, naming the column. Ints and floats are mutually
+// comparable and share a numeric column's index, and nulls are not
+// indexed.
 func TestBuildIndexRejectsMixedKinds(t *testing.T) {
 	r := New("MIXED", MustSchema(Column{Name: "K", Type: TString}))
 	r.MustInsert(String("b"))
 	r.MustInsert(String("a"))
-	// Smuggle numeric values past Insert's conformance check, as a bug
-	// elsewhere (or a future dynamically typed column) could.
-	r.rows = append(r.rows, Tuple{Int(5)}, Tuple{Int(1)})
-	if _, err := r.Index(0); err == nil {
-		t.Fatal("Index on a mixed string/int column must error")
+	if err := r.Insert(Tuple{Int(5)}); err == nil || !strings.Contains(err.Error(), "column K") {
+		t.Errorf("Insert(5) into a string column: err = %v, want one naming K", err)
+	}
+	if err := r.Set(0, 0, Float(1)); err == nil || !strings.Contains(err.Error(), "column K") {
+		t.Errorf("Set(1.0) in a string column: err = %v, want one naming K", err)
+	}
+	if ix := r.Index(0); ix.Len() != 2 || ix.Value(0).Str() != "a" {
+		t.Errorf("string index holds %d values, first %v; want a, b", ix.Len(), ix.Value(0))
 	}
 
-	// Int/float mixes are mutually comparable and stay indexable.
 	f := New("NUM", MustSchema(Column{Name: "K", Type: TFloat}))
 	f.MustInsert(Float(2.5))
 	f.MustInsert(Int(7))
 	f.MustInsert(Int(1))
-	ix, err := f.Index(0)
-	if err != nil {
-		t.Fatalf("Index on int/float column: %v", err)
-	}
-	rows, err := ix.Lookup(">", Int(2))
+	rows, err := f.Index(0).Lookup(">", Int(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,30 +207,43 @@ func TestBuildIndexRejectsMixedKinds(t *testing.T) {
 		t.Errorf("Lookup(> 2) = %d rows, want 2", len(rows))
 	}
 
-	// Nulls do not participate: a column that is mixed only through
-	// nulls is still homogeneous.
 	n := New("NULLS", MustSchema(Column{Name: "K", Type: TInt}))
 	n.MustInsert(Null())
 	n.MustInsert(Int(3))
-	if _, err := n.Index(0); err != nil {
-		t.Errorf("Index with nulls: %v", err)
+	if got := n.Index(0).Len(); got != 1 {
+		t.Errorf("index with a null holds %d rows, want 1", got)
 	}
 }
 
-// TestIndexRejectsNaN: a NaN compares equal to every number, so a
-// float column holding one has no total order and a binary search over
-// it could return a wrong range. Build must refuse it.
+// TestIndexRejectsNaN: a NaN compares equal to every number, and an
+// infinity is no measured value, so a float column holds neither:
+// Insert, Set and InsertStrings refuse them with an error naming the
+// column, and the index over the finite rows answers as a scan does.
 func TestIndexRejectsNaN(t *testing.T) {
 	r := New("F", MustSchema(Column{Name: "K", Type: TFloat}))
 	for i := 0; i < 20; i++ {
-		v := Float(float64(i % 5))
-		if i%7 == 0 {
-			v = Float(math.NaN())
-		}
-		r.MustInsert(v)
+		r.MustInsert(Float(float64(i % 5)))
 	}
-	if _, err := r.Index(0); err == nil || !strings.Contains(err.Error(), "NaN") {
-		t.Fatalf("Index on a column holding NaN: err = %v, want a NaN refusal", err)
+	for _, v := range []Value{Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1))} {
+		if err := r.Insert(Tuple{v}); err == nil || !strings.Contains(err.Error(), "column K") {
+			t.Errorf("Insert(%v): err = %v, want one naming K", v, err)
+		}
+		if err := r.Set(3, 0, v); err == nil || !strings.Contains(err.Error(), "column K") {
+			t.Errorf("Set(%v): err = %v, want one naming K", v, err)
+		}
+		if err := r.InsertStrings(v.String()); err == nil || !strings.Contains(err.Error(), "column K") {
+			t.Errorf("InsertStrings(%q): err = %v, want one naming K", v.String(), err)
+		}
+	}
+	if r.Len() != 20 || !r.Row(3)[0].Equal(Float(3)) {
+		t.Fatalf("a refused value was stored: %d rows, row 3 = %v", r.Len(), r.Row(3))
+	}
+	rows, err := r.Index(0).Lookup("=", Int(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Errorf("Lookup(= 3) = %d rows, want 4", len(rows))
 	}
 }
 
@@ -229,24 +252,15 @@ func TestIndexRejectsNaN(t *testing.T) {
 // current rows.
 func TestIndexSharedAndVersioned(t *testing.T) {
 	r := indexedRelation(t)
-	ix, err := r.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := r.Index(0); again != ix {
+	ix := r.Index(0)
+	if again := r.Index(0); again != ix {
 		t.Error("second Index call built a new index")
 	}
-	if _, err := r.Index(1); err != nil {
-		t.Errorf("Index on the string column: %v", err)
-	}
-	if _, err := r.Index(2); err == nil {
-		t.Error("Index past the last column should error")
+	if got := r.Index(1).Len(); got != r.Len() {
+		t.Errorf("the string column's index holds %d rows, want %d", got, r.Len())
 	}
 	r.MustInsert(Int(4), String("y"))
-	fresh, err := r.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := r.Index(0)
 	if fresh == ix || !fresh.Fresh() || fresh.Len() != ix.Len()+1 {
 		t.Errorf("after insert: new index %v, fresh %v, %d rows (was %d)",
 			fresh != ix, fresh.Fresh(), fresh.Len(), ix.Len())
@@ -270,11 +284,7 @@ func TestIndexConcurrentFirstCalls(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ix, err := r.Index(w % 2)
-			if err != nil {
-				t.Error(err)
-				return
-			}
+			ix := r.Index(w % 2)
 			if n, err := ix.Count(">=", Int(0)); err != nil || n != 2000 {
 				t.Errorf("worker %d: Count = %d, %v", w, n, err)
 			}
@@ -293,10 +303,7 @@ func TestIndexConcurrentFirstCalls(t *testing.T) {
 // against the materialised result for every operator.
 func TestIndexCountMatchesLookup(t *testing.T) {
 	r := indexedRelation(t)
-	ix, err := r.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := r.Index(0)
 	for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
 		for v := int64(0); v <= 10; v++ {
 			rows, err := ix.Lookup(op, Int(v))
@@ -324,10 +331,7 @@ func TestIndexCountMatchesLookup(t *testing.T) {
 // position to the row holding that position's value, ties in row order.
 func TestIndexRowWalksInValueOrder(t *testing.T) {
 	r := indexedRelation(t)
-	ix, err := r.Index(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := r.Index(0)
 	var got []int
 	for p := 0; p < ix.Len(); p++ {
 		if v := r.Row(ix.Row(p))[0]; !v.Equal(ix.Value(p)) {

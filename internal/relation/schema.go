@@ -31,6 +31,16 @@ func (t Type) String() string {
 	}
 }
 
+// Comparable reports whether v orders against the values a column of
+// type t stores: a string against a string column, a number against a
+// numeric one. A null orders against nothing.
+func (t Type) Comparable(v Value) bool {
+	if t == TString {
+		return v.Kind() == KindString
+	}
+	return v.IsNumeric()
+}
+
 // Column is a named, typed attribute of a relation schema.
 type Column struct {
 	Name string

@@ -87,10 +87,6 @@ func (v Value) Float64() float64 {
 // IsNumeric reports whether the value is an int or float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
-// IsNaN reports whether the value is a float NaN, which Compare finds
-// equal to every number.
-func (v Value) IsNaN() bool { return v.kind == KindFloat && math.IsNaN(v.f) }
-
 // String renders the value for display. Strings render without quotes;
 // use GoString for an unambiguous form.
 func (v Value) String() string {
@@ -130,6 +126,7 @@ func (v Value) Comparable(w Value) bool {
 // (the paper's induced rules use lexicographic ranges such as
 // "SSN623 <= Id <= SSN635"). Comparing incomparable kinds returns an error.
 // Null compares equal to null and is not comparable to anything else.
+// A NaN, which no column stores (see Conforms), has no place in the order.
 func (v Value) Compare(w Value) (int, error) {
 	if !v.Comparable(w) {
 		return 0, fmt.Errorf("relation: cannot compare %s with %s", v.kind, w.kind)
@@ -166,9 +163,6 @@ func (v Value) Compare(w Value) (int, error) {
 // the integer to float64, which would round above 2^53 and make distinct
 // integers compare equal to the same float.
 func compareIntFloat(i int64, f float64) int {
-	if f != f { // NaN: numerically unordered; treat as equal like < and > both failing
-		return 0
-	}
 	// Every float64 ≥ 2^63 exceeds any int64; every float64 < -2^63 is
 	// below any int64. In between, trunc(f) converts to int64 exactly.
 	if f >= 1<<63 {
@@ -267,6 +261,9 @@ func ParseValue(s string, t Type) (Value, error) {
 		if err != nil {
 			return Value{}, fmt.Errorf("relation: parse float %q: %w", s, err)
 		}
+		if !finite(f) {
+			return Value{}, fmt.Errorf("relation: parse float %q: not a finite number", s)
+		}
 		return Float(f), nil
 	default:
 		return Value{}, fmt.Errorf("relation: parse into unknown type %v", t)
@@ -274,7 +271,10 @@ func ParseValue(s string, t Type) (Value, error) {
 }
 
 // Conforms reports whether the value may be stored in a column of type t.
-// Null conforms to every type; ints conform to float columns.
+// Null conforms to every type; ints conform to float columns; a float
+// conforms only when it is finite. So a column's non-null values are
+// mutually comparable and totally ordered by Compare, which is all an
+// index, a sort, a join or an induced range relies on.
 func (v Value) Conforms(t Type) bool {
 	switch v.kind {
 	case KindNull:
@@ -284,8 +284,13 @@ func (v Value) Conforms(t Type) bool {
 	case KindInt:
 		return t == TInt || t == TFloat
 	case KindFloat:
-		return t == TFloat
+		return t == TFloat && finite(v.f)
 	default:
 		return false
 	}
 }
+
+// finite reports whether f is neither NaN nor an infinity: the floats a
+// column may store. A NaN is unordered against every number, and SQL
+// has no literal for either.
+func finite(f float64) bool { return math.Abs(f) <= math.MaxFloat64 }

@@ -222,6 +222,11 @@ func TestParseValue(t *testing.T) {
 	if _, err = ParseValue("1.2.3", TFloat); err == nil {
 		t.Error("ParseValue bad float: want error")
 	}
+	for _, s := range []string{"NaN", "Inf", "-Inf", "1e999"} {
+		if v, err := ParseValue(s, TFloat); err == nil {
+			t.Errorf("ParseValue(%q, float) = %v, want an error", s, v)
+		}
+	}
 }
 
 func TestConforms(t *testing.T) {
@@ -239,6 +244,10 @@ func TestConforms(t *testing.T) {
 		{Int(1), TString, false},
 		{Float(1), TFloat, true},
 		{Float(1), TInt, false},
+		{Float(math.NaN()), TFloat, false},
+		{Float(math.Inf(1)), TFloat, false},
+		{Float(math.Inf(-1)), TFloat, false},
+		{Float(math.MaxFloat64), TFloat, true},
 	}
 	for _, c := range cases {
 		if got := c.v.Conforms(c.t); got != c.want {

@@ -222,7 +222,7 @@ func Decode(rel *Relations) (*Set, error) {
 			err = fmt.Errorf("unknown kind %q", info.kind)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("rules: decode attribute %d value %q: %w", no, raw, err)
+			return nil, fmt.Errorf("rules: decode %s value %q: %w", info.ref, raw, err)
 		}
 		if vals[no] == nil {
 			vals[no] = map[float64]relation.Value{}

@@ -32,9 +32,7 @@ func (run *PremiseRun) extends(key string, r *Rule) bool {
 	return err == nil && c < 0
 }
 
-// properRange reports whether c's bounds are comparable and in order. A
-// NaN bound compares equal to every number, so it can only open a run
-// (as Lo) or close one (as Hi), where it acts as an infinite bound.
+// properRange reports whether c's bounds are comparable and in order.
 func properRange(c Clause) bool {
 	cmp, err := c.Lo.Compare(c.Hi)
 	return err == nil && cmp <= 0
@@ -45,9 +43,9 @@ func properRange(c Clause) bool {
 //
 // When cond's bounds are in order, at most one of the run's disjoint
 // premises can hold it: the last one starting at or below cond's lower
-// bound, which a binary search finds. Any other cond — bounds reversed,
-// NaN or of two kinds — is tested against every premise from from on;
-// an interval narrowed to nothing can lie inside several premises.
+// bound, which a binary search finds. Any other cond — bounds reversed
+// or of two kinds — is tested against every premise from from on; an
+// interval narrowed to nothing can lie inside several premises.
 func (run PremiseRun) Subsuming(from int, cond Interval) int {
 	rs := run.Rules[from:]
 	if !boundsOrdered(cond) {
@@ -69,12 +67,8 @@ func (run PremiseRun) Subsuming(from int, cond Interval) int {
 }
 
 // boundsOrdered reports that cond's bound values are in order (Lo ≤ Hi,
-// or either unbounded) and free of NaN, so no two disjoint ranges can
-// both subsume it.
+// or either unbounded), so no two disjoint ranges can both subsume it.
 func boundsOrdered(cond Interval) bool {
-	if (!cond.Lo.Unbounded && cond.Lo.Value.IsNaN()) || (!cond.Hi.Unbounded && cond.Hi.Value.IsNaN()) {
-		return false
-	}
 	if cond.Lo.Unbounded || cond.Hi.Unbounded {
 		return true
 	}

@@ -25,7 +25,7 @@ func shipSetup(t *testing.T) (*dict.Dictionary, *query.Processor) {
 		t.Fatal(err)
 	}
 	d.SetRules(set)
-	return d, query.New(cat, nil, nil)
+	return d, query.New(cat, nil)
 }
 
 func analyse(t *testing.T, d *dict.Dictionary, q *query.Processor, sql string) *query.Rewrites {

@@ -38,13 +38,10 @@ type explainResponse struct {
 // plannerJSON is the GET /metrics planner section: cumulative scan
 // counters and prepared-statement cache outcomes.
 type plannerJSON struct {
-	FullScans  int64 `json:"fullScans"`
-	IndexScans int64 `json:"indexScans"`
-	// PlannerIndexFallbacks counts access paths that wanted an index but
-	// degraded to a full scan; the reason is logged when it happens.
-	PlannerIndexFallbacks int64 `json:"plannerIndexFallbacks"`
-	PlanCacheHits         int64 `json:"planCacheHits"`
-	PlanCacheMisses       int64 `json:"planCacheMisses"`
+	FullScans       int64 `json:"fullScans"`
+	IndexScans      int64 `json:"indexScans"`
+	PlanCacheHits   int64 `json:"planCacheHits"`
+	PlanCacheMisses int64 `json:"planCacheMisses"`
 	// PlanCacheHitRate is hits/(hits+misses); 0 before any preparation.
 	PlanCacheHitRate float64 `json:"planCacheHitRate"`
 	CachedPlans      int     `json:"cachedPlans"`
@@ -183,12 +180,16 @@ type mutateResponse struct {
 }
 
 type rulesResponse struct {
-	Version   uint64     `json:"version"`
-	Count     int        `json:"count"`
-	Serving   int        `json:"serving"`
-	Stale     int        `json:"stale"`
-	Refinable int        `json:"refinable"`
-	Rules     []ruleJSON `json:"rules,omitempty"`
+	Version   uint64 `json:"version"`
+	Count     int    `json:"count"`
+	Serving   int    `json:"serving"`
+	Stale     int    `json:"stale"`
+	Refinable int    `json:"refinable"`
+	// PendingSchemes counts the schemes awaiting re-induction by
+	// Maintain (maintain.State.SchemeKeys), including those a restart
+	// restored, whose stale rules Stale no longer counts.
+	PendingSchemes int        `json:"pendingSchemes"`
+	Rules          []ruleJSON `json:"rules,omitempty"`
 }
 
 type ruleJSON struct {
@@ -216,6 +217,7 @@ type healthzResponse struct {
 	Relations      int    `json:"relations"`
 	Rules          int    `json:"rules"`
 	Stale          int    `json:"stale"`
+	PendingSchemes int    `json:"pendingSchemes"` // as rulesResponse's
 	Durable        bool   `json:"durable"`
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degradedReason,omitempty"`

@@ -585,11 +585,12 @@ func (s *Server) handleRules(w http.ResponseWriter, _ *http.Request) {
 	full, maint, version := s.sys.RuleStatus()
 	stale, refinable := maint.Counts()
 	out := rulesResponse{
-		Version:   version,
-		Count:     full.Len(),
-		Serving:   full.Len() - stale,
-		Stale:     stale,
-		Refinable: refinable,
+		Version:        version,
+		Count:          full.Len(),
+		Serving:        full.Len() - stale,
+		Stale:          stale,
+		Refinable:      refinable,
+		PendingSchemes: len(maint.SchemeKeys(full)),
 	}
 	for _, r := range full.Rules() {
 		inf := maint.Info(r.ID)
@@ -608,18 +609,19 @@ func (s *Server) handleRules(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	_, maint, version := s.sys.RuleStatus()
+	full, maint, version := s.sys.RuleStatus()
 	stale, _ := maint.Counts()
 	out := healthzResponse{
-		OK:          true,
-		Mode:        "ok",
-		Version:     version,
-		Relations:   s.sys.Catalog().Len(),
-		Rules:       s.sys.Rules().Len(),
-		Stale:       stale,
-		Durable:     s.sys.Durable(),
-		WalSeq:      s.sys.WalSeq(),
-		Replication: s.replicationStatus(),
+		OK:             true,
+		Mode:           "ok",
+		Version:        version,
+		Relations:      s.sys.Catalog().Len(),
+		Rules:          s.sys.Rules().Len(),
+		Stale:          stale,
+		PendingSchemes: len(maint.SchemeKeys(full)),
+		Durable:        s.sys.Durable(),
+		WalSeq:         s.sys.WalSeq(),
+		Replication:    s.replicationStatus(),
 	}
 	if rep := out.Replication; rep != nil && rep.State != "" {
 		// A follower's consistency state is its health mode: "ready" once
@@ -738,13 +740,12 @@ func (s *Server) systemMetrics() systemJSON {
 func (s *Server) plannerMetrics() plannerJSON {
 	st := s.sys.PlannerStats()
 	out := plannerJSON{
-		FullScans:             st.FullScans,
-		IndexScans:            st.IndexScans,
-		PlannerIndexFallbacks: st.IndexFallbacks,
-		PlanCacheHits:         st.PlanCacheHits,
-		PlanCacheMisses:       st.PlanCacheMisses,
-		CachedPlans:           st.CachedPlans,
-		CachedBodyBytes:       st.CachedBodyBytes,
+		FullScans:       st.FullScans,
+		IndexScans:      st.IndexScans,
+		PlanCacheHits:   st.PlanCacheHits,
+		PlanCacheMisses: st.PlanCacheMisses,
+		CachedPlans:     st.CachedPlans,
+		CachedBodyBytes: st.CachedBodyBytes,
 	}
 	if total := st.PlanCacheHits + st.PlanCacheMisses; total > 0 {
 		out.PlanCacheHitRate = float64(st.PlanCacheHits) / float64(total)

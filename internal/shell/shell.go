@@ -192,8 +192,8 @@ func (s *Shell) cmdRules() {
 func (s *Shell) cmdStatus() {
 	full, st, version := s.sys.RuleStatus()
 	stale, refinable := st.Counts()
-	fmt.Fprintf(s.out, "version %d: %d relations, %d rules (%d serving, %d stale, %d refinable)\n",
-		version, s.sys.Catalog().Len(), full.Len(), full.Len()-stale, stale, refinable)
+	fmt.Fprintf(s.out, "version %d: %d relations, %d rules (%d serving, %d stale, %d refinable); %d schemes awaiting .maintain\n",
+		version, s.sys.Catalog().Len(), full.Len(), full.Len()-stale, stale, refinable, len(st.SchemeKeys(full)))
 	if s.sys.Durable() {
 		fmt.Fprintf(s.out, "durable: %d bytes in the write-ahead log\n", s.sys.WalSize())
 	} else {

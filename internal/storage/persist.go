@@ -406,7 +406,7 @@ func loadCSV(path, name string, schema *relation.Schema) (*relation.Relation, er
 			default:
 				v, err := relation.ParseValue(cell, schema.Col(i).Type)
 				if err != nil {
-					return nil, fmt.Errorf("storage: load %s row %d: %w", name, rowNo+1, err)
+					return nil, fmt.Errorf("storage: load %s row %d column %s: %w", name, rowNo+1, schema.Col(i).Name, err)
 				}
 				t[i] = v
 			}
